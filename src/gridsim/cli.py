@@ -19,7 +19,7 @@ from .circuit import (
     serialize_circuit,
 )
 from .costmodel import CostModelError, CostParams, forecast
-from .orchestrator import CampaignError, merge, run_campaign, status
+from .orchestrator import SHARD_DIGITS, CampaignError, merge, run_campaign, status
 from .pathsum import make_plan, run_approx
 from .sampler import (
     SampleRequest,
@@ -71,8 +71,12 @@ def _default_indices(circuit: Circuit, amps_file: str | None) -> np.ndarray:
     return np.arange(1 << circuit.n_qubits, dtype=np.int64)
 
 
-def _emit_batch(out_path: str | None, batch, circuit: Circuit, digits: int) -> None:
+def _emit_batch(out_path: str | None, batch, circuit: Circuit, digits: int, plan=None) -> None:
+    """Write a batch as text; a truncated run's header also records the
+    fidelity it realized, retained prefixes over the prefix space."""
     header = {"n_qubits": str(circuit.n_qubits), "circuit": circuit_hash(circuit)}
+    if plan is not None:
+        header["fidelity"] = repr(len(plan.retained) / plan.prefix_space)
     path = "/dev/stdout" if out_path in (None, "-") else out_path
     write_amplitudes(path, batch, digits=digits, header=header)
 
@@ -152,7 +156,7 @@ def _cmd_pathsim(args) -> int:
     indices = _default_indices(circuit, args.amps)
     plan = make_plan(circuit, fidelity=args.fidelity, x_p=args.xp, x_b=args.xb, seed=args.seed)
     batch = run_approx(circuit, plan, indices)
-    _emit_batch(args.out, batch, circuit, args.digits)
+    _emit_batch(args.out, batch, circuit, args.digits, plan)
     return 0
 
 
@@ -226,6 +230,11 @@ def _cmd_sample(args) -> int:
         )
     probs_by_index = np.zeros(1 << n)
     probs_by_index[batch.indices] = np.abs(batch.amps) ** 2
+    # a truncated state keeps only part of the norm; sample its own distribution
+    total = probs_by_index.sum()
+    if not total > 0:
+        raise ValueError("amplitude file carries no probability mass")
+    probs_by_index /= total
     req = SampleRequest(
         n_qubits=n,
         count=args.count,
@@ -260,7 +269,7 @@ def _cmd_merge(args) -> int:
     indices = _default_indices(circuit, args.amps)
     plan = make_plan(circuit, fidelity=args.fidelity, x_p=args.xp, x_b=args.xb, seed=args.seed)
     batch = merge(circuit, plan, indices, args.shard_dir)
-    _emit_batch(args.out, batch, circuit, args.digits)
+    _emit_batch(args.out, batch, circuit, args.digits, plan)
     return 0
 
 
@@ -290,7 +299,7 @@ def _cmd_campaign(args) -> int:
         forecast_seconds=args.forecast_seconds,
     )
     if args.out:
-        _emit_batch(args.out, result.batch, circuit, args.digits)
+        _emit_batch(args.out, result.batch, circuit, args.digits, plan)
     print(
         f"campaign {result.plan_hash}: {len(result.per_job_seconds)} shards in "
         f"{result.rounds} round(s), wall {result.wall_seconds:.2f}s, "
@@ -410,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_plan_args(p)
     p.add_argument("--amps", default=None)
     p.add_argument("-o", "--out", default=None)
-    p.add_argument("--digits", type=int, default=17)
+    p.add_argument("--digits", type=int, default=SHARD_DIGITS)
     p.set_defaults(func=_cmd_merge)
 
     p = sub.add_parser("campaign", help="run, resume, or inspect a shard campaign")
@@ -425,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None, help="write a JSON run report here")
     p.add_argument("--forecast-seconds", type=float, default=None)
     p.add_argument("-o", "--out", default=None)
-    p.add_argument("--digits", type=int, default=17)
+    p.add_argument("--digits", type=int, default=SHARD_DIGITS)
     p.set_defaults(func=_cmd_campaign)
 
     p = sub.add_parser("validate", help="verifier/claimant protocol over files")

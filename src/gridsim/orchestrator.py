@@ -6,10 +6,17 @@ shard files into a single amplitude batch.  The shard files are the only
 coordination channel: a job counts as done exactly when its file exists and
 checks out, so a campaign killed at any point resumes by running it again
 over the same directory.
+
+Shards are exact amplitude files (statevec's base64 form with a sha256 of
+the payload in the header), so a merge over resumed shards is
+bit-identical to an uninterrupted one.  Polling reads only headers and
+checks payload digests; the merge checks every header before it decodes
+each payload exactly once.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import multiprocessing
@@ -20,11 +27,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, circuit_hash
-from .pathsum import SimPlan, run_prefix_tree, split_requests
-from .statevec import AmplitudeBatch, read_amplitudes, write_amplitudes
+from .pathsum import SimPlan, run_batched
+from .statevec import (
+    AmplitudeBatch,
+    read_amplitude_header,
+    read_amplitudes,
+    write_amplitudes,
+)
 
-# 17 significant digits round-trip float64 exactly, so a merge over
-# resumed shards is bit-identical to an uninterrupted one.
+# Default text digits for merged outputs on the command line: 17
+# significant digits round-trip float64 exactly.  Shards are exact anyway.
 SHARD_DIGITS = 17
 RETRY_LIMIT = 3
 
@@ -32,9 +44,11 @@ RETRY_LIMIT = 3
 class CampaignError(RuntimeError):
     """A campaign could not finish: repeated job failures or bad shards."""
 
-    def __init__(self, message: str, failed=()):
+    def __init__(self, message: str, failed=(), exit_codes=None):
         super().__init__(message)
         self.failed = tuple(int(p) for p in failed)
+        # prefix -> exit code of the worker that ran its last attempt
+        self.exit_codes = dict(exit_codes or {})
 
 
 class MergeError(CampaignError):
@@ -94,20 +108,20 @@ def _shard_header_ok(header: dict, job: ShardJob) -> bool:
     )
 
 
-def _shard_done(shard_dir: str, job: ShardJob, req: np.ndarray) -> bool:
+def _shard_done(shard_dir: str, job: ShardJob) -> bool:
+    # header and payload digest only; the amplitudes are not decoded
     path = os.path.join(shard_dir, job.filename)
     try:
-        batch, header = read_amplitudes(path)
+        header = read_amplitude_header(path, verify=True)
     except (OSError, ValueError):
         return False
-    return _shard_header_ok(header, job) and np.array_equal(batch.indices, req)
+    return _shard_header_ok(header, job)
 
 
-def _scan(jobs, requests, shard_dir: str):
-    req = np.asarray(requests, dtype=np.int64)
+def _scan(jobs, shard_dir: str):
     done, pending = [], []
     for job in jobs:
-        (done if _shard_done(shard_dir, job, req) else pending).append(job.prefix)
+        (done if _shard_done(shard_dir, job) else pending).append(job.prefix)
     return done, pending
 
 
@@ -126,7 +140,7 @@ class CampaignStatus:
 def status(circuit: Circuit, plan: SimPlan, requests, shard_dir: str) -> CampaignStatus:
     """Poll the shard directory; a job is done iff its file checks out."""
     jobs = shard(circuit, plan, requests)
-    done, pending = _scan(jobs, requests, shard_dir)
+    done, pending = _scan(jobs, shard_dir)
     return CampaignStatus(jobs[0].plan_hash, len(jobs), tuple(done), tuple(pending))
 
 
@@ -137,11 +151,10 @@ def _worker(circuit, plan, requests, jobs, attempts, shard_dir, fault_spec):
     mid-commit (after the temporary file, before the rename).  It exists so
     tests can kill jobs exactly the way a preempted node would.
     """
-    split = split_requests(circuit.n_qubits, plan.cut.block_a, plan.cut.block_b, requests)
     for job in jobs:
         attempt = attempts[job.prefix] + 1
         start = time.perf_counter()
-        out = run_prefix_tree(circuit, plan, job.prefix, requests, _split=split)
+        out = run_batched(circuit, plan, requests, prefixes=[job.prefix])
         seconds = time.perf_counter() - start
         header = {
             "plan": job.plan_hash,
@@ -152,11 +165,15 @@ def _worker(circuit, plan, requests, jobs, attempts, shard_dir, fault_spec):
             "seconds": f"{seconds:.6f}",
         }
         final = os.path.join(shard_dir, job.filename)
-        tmp = f"{final}.tmp.{os.getpid()}"
-        write_amplitudes(tmp, out, digits=SHARD_DIGITS, header=header)
+        tmp = _tmp_path(final, os.getpid())
+        write_amplitudes(tmp, out, digits=None, header=header)
         if attempt <= fault_spec.get(job.prefix, 0):
             os._exit(3)
         os.replace(tmp, final)
+
+
+def _tmp_path(final: str, pid: int) -> str:
+    return f"{final}.tmp.{pid}"
 
 
 @dataclass
@@ -167,6 +184,7 @@ class CampaignResult:
     rounds: int
     workers: int
     per_job_seconds: dict[int, float]
+    child_exit_codes: list[list[int]]  # one list per round, one code per worker
 
     @property
     def job_seconds_total(self) -> float:
@@ -186,6 +204,7 @@ class CampaignResult:
             "job_seconds_total": round(self.job_seconds_total, 6),
             "job_seconds_max": round(self.job_seconds_max, 6),
             "per_job_seconds": {str(p): round(s, 6) for p, s in sorted(self.per_job_seconds.items())},
+            "child_exit_codes": self.child_exit_codes,
         }
         rss = _peak_rss_bytes()
         if rss is not None:
@@ -225,7 +244,10 @@ def run_campaign(
     shard directory after each round of workers exits.  A job assigned more
     than `retry_limit` extra times without producing a valid shard aborts
     the campaign; the attempt counter ticks per assignment, so jobs that a
-    dying sibling kept from running count those rounds too.
+    dying sibling kept from running count those rounds too.  The error
+    names the exit code of the worker that ran each failed job's last
+    attempt.  After each round the temporary files of this round's workers
+    are removed, whether or not they were committed.
     """
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
@@ -234,40 +256,52 @@ def run_campaign(
     jobs = shard(circuit, plan, requests)
     by_prefix = {job.prefix: job for job in jobs}
     attempts = {job.prefix: 0 for job in jobs}
+    last_exit: dict[int, int] = {}
+    child_exit_codes: list[list[int]] = []
     ctx = multiprocessing.get_context("fork")
     rounds = 0
     while True:
-        done, pending = _scan(jobs, requests, shard_dir)
+        _, pending = _scan(jobs, shard_dir)
         if not pending:
             break
         over = sorted(p for p in pending if attempts[p] > retry_limit)
         if over:
-            shown = ", ".join(str(p) for p in over[:16])
+            codes = {p: last_exit.get(p) for p in over}
+            shown = ", ".join(f"{p} (exit code {codes[p]})" for p in over[:16])
             raise CampaignError(
                 f"{len(over)} shard jobs failed after {retry_limit} retries: prefixes {shown}",
                 failed=over,
+                exit_codes=codes,
             )
         rounds += 1
         assigned = [by_prefix[p] for p in pending]
         n_procs = min(workers, len(assigned))
         procs = []
         for w in range(n_procs):
+            share = assigned[w::n_procs]
             proc = ctx.Process(
                 target=_worker,
                 args=(
                     circuit,
                     plan,
                     requests,
-                    assigned[w::n_procs],
+                    share,
                     dict(attempts),
                     shard_dir,
                     fault_spec or {},
                 ),
             )
             proc.start()
-            procs.append(proc)
-        for proc in procs:
+            procs.append((proc, share))
+        codes = []
+        for proc, share in procs:
             proc.join()
+            codes.append(proc.exitcode)
+            for job in share:
+                last_exit[job.prefix] = proc.exitcode
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(_tmp_path(os.path.join(shard_dir, job.filename), proc.pid))
+        child_exit_codes.append(codes)
         for p in pending:
             attempts[p] += 1
 
@@ -280,6 +314,7 @@ def run_campaign(
         rounds=rounds,
         workers=workers,
         per_job_seconds=per_job,
+        child_exit_codes=child_exit_codes,
     )
     if report_path is not None:
         with open(report_path, "w") as f:
@@ -300,15 +335,14 @@ def _merge_verified(circuit, plan, requests, shard_dir):
     by_prefix = {job.prefix: job for job in jobs}
     req = np.asarray(requests, dtype=np.int64)
 
+    # every header is checked before any payload is decoded
     found: dict[int, str] = {}
     headers: dict[int, dict] = {}
-    amps: dict[int, np.ndarray] = {}
     for name in sorted(os.listdir(shard_dir)):
         if not name.endswith(".amp"):
             continue
-        path = os.path.join(shard_dir, name)
         try:
-            batch, header = read_amplitudes(path)
+            header = read_amplitude_header(os.path.join(shard_dir, name))
         except (OSError, ValueError) as exc:
             raise MergeError(f"unreadable shard file {name}: {exc}")
         if header.get("plan") != fp:
@@ -326,11 +360,8 @@ def _merge_verified(circuit, plan, requests, shard_dir):
             raise MergeError(f"shard file {name} claims prefix {prefix}, not in this plan")
         if not _shard_header_ok(header, job):
             raise MergeError(f"shard file {name} does not match the campaign hashes")
-        if not np.array_equal(batch.indices, req):
-            raise MergeError(f"shard file {name} answers different request indices")
         found[prefix] = name
         headers[prefix] = header
-        amps[prefix] = batch.amps
 
     missing = sorted(p for p in by_prefix if p not in found)
     if missing:
@@ -339,5 +370,14 @@ def _merge_verified(circuit, plan, requests, shard_dir):
 
     total = AmplitudeBatch.zeros(req)
     for prefix in sorted(found):
-        total.amps += amps[prefix]
+        name = found[prefix]
+        if "sha256" not in headers[prefix]:
+            raise MergeError(f"shard file {name} is not an exact shard", failed=[prefix])
+        try:
+            batch, _ = read_amplitudes(os.path.join(shard_dir, name))
+        except (OSError, ValueError) as exc:
+            raise MergeError(f"damaged shard file {name}: {exc}", failed=[prefix])
+        if not np.array_equal(batch.indices, req):
+            raise MergeError(f"shard file {name} answers different request indices")
+        total.amps += batch.amps
     return total, headers

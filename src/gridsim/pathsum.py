@@ -28,19 +28,7 @@ from .circuit import (
     gate_block,
     gate_matrix,
 )
-from . import statevec
-from .statevec import (
-    ACC_DTYPE,
-    AmplitudeBatch,
-    DTYPE,
-    StateBlock,
-    ZERO_BLOCK_AMPS,
-    apply_diag1,
-    apply_diag2,
-    apply_matrix1,
-    apply_matrix2,
-    refresh_zero_mask,
-)
+from .statevec import ACC_DTYPE, AmplitudeBatch, DTYPE
 
 _P0 = np.diag([1.0, 0.0]).astype(np.complex128)
 _P1 = np.diag([0.0, 1.0]).astype(np.complex128)
@@ -195,27 +183,6 @@ def _one_qubit_op(u: np.ndarray, blk: int, local_q: int) -> tuple:
     return ("mat1", blk, local_q, np.asarray(u, dtype=DTYPE))
 
 
-def _exec_ops(ops, blocks, digits, cross) -> None:
-    for op in ops:
-        tag = op[0]
-        if tag == "diag1":
-            apply_diag1(blocks[op[1]], op[3], op[2])
-        elif tag == "mat1":
-            apply_matrix1(blocks[op[1]], op[3], op[2])
-        elif tag == "diag2":
-            apply_diag2(blocks[op[1]], op[4], op[2], op[3])
-        elif tag == "mat2":
-            apply_matrix2(blocks[op[1]], op[4], op[2], op[3])
-        else:
-            k = op[1]
-            term_a, term_b = cross[k]["terms"][digits[k]]
-            for term, blk in ((term_a, 0), (term_b, 1)):
-                if term[0] == "diag1":
-                    apply_diag1(blocks[blk], term[3], term[2])
-                else:
-                    apply_matrix1(blocks[blk], term[3], term[2])
-
-
 def path_digits(path_id: int, radices: tuple[int, ...]) -> tuple[int, ...]:
     """Big-endian mixed-radix digits of a path id; digit k picks a term for cross gate k."""
     digits = []
@@ -344,103 +311,14 @@ def _default_branch_digits(circuit, cut, cross, workers) -> int:
     return cap
 
 
-def run_path(
-    circuit: Circuit,
-    plan: SimPlan,
-    path: int,
-    requests,
-    skip_zeros: bool = True,
-) -> AmplitudeBatch:
-    """Contribution of a single path at the requested global indices."""
-    digits = path_digits(path, plan.radices)
-    ops, cross = _lower(circuit, plan.cut)
-    blocks = _fresh_blocks(plan.cut, skip_zeros)
-    _exec_ops(ops, blocks, digits, cross)
-    idx_a, idx_b = split_requests(circuit.n_qubits, plan.cut.block_a, plan.cut.block_b, requests)
-    out = AmplitudeBatch.zeros(requests)
-    _gather(blocks, idx_a, idx_b, out.amps)
-    return out
-
-
-def _fresh_blocks(cut: Cut, skip_zeros: bool) -> list[StateBlock]:
-    blocks = [StateBlock.zero_state(cut.n_a), StateBlock.zero_state(cut.n_b)]
-    if skip_zeros:
-        for b in blocks:
-            refresh_zero_mask(b)
-    return blocks
-
-
-def _gather(blocks, idx_a, idx_b, acc) -> None:
-    acc += np.take(blocks[0].amps, idx_a) * np.take(blocks[1].amps, idx_b)
-
-
-def run_prefix_tree(
-    circuit: Circuit,
-    plan: SimPlan,
-    prefix: int,
-    requests,
-    skip_zeros: bool = True,
-    _split=None,
-    _out: AmplitudeBatch | None = None,
-) -> AmplitudeBatch:
-    """Sum of run_path over every branch completion of one prefix.
-
-    Both blocks are simulated once up to the first branch gate and
-    snapshotted; each branch restarts from that single checkpoint copy,
-    so memory peaks at two block pairs.
-    """
-    ops, cross = _lower(circuit, plan.cut)
-    x_p = plan.x_p
-    marker = ("cross", x_p)
-    split_at = next((i for i, op in enumerate(ops) if op == marker), len(ops))
-    digits = list(path_digits(prefix, plan.radices[:x_p])) + [0] * plan.x_b
-
-    blocks = _fresh_blocks(plan.cut, skip_zeros)
-    _exec_ops(ops[:split_at], blocks, digits, cross)
-    checkpoint = [b.copy() for b in blocks]
-
-    if _split is None:
-        _split = split_requests(
-            circuit.n_qubits, plan.cut.block_a, plan.cut.block_b, requests
-        )
-    idx_a, idx_b = _split
-    out = _out if _out is not None else AmplitudeBatch.zeros(requests)
-    branch_radices = plan.radices[x_p:]
-    for branch in range(plan.branch_space):
-        working = [checkpoint[0].copy(), checkpoint[1].copy()]
-        bdigits = path_digits(branch, branch_radices)
-        for k, d in enumerate(bdigits):
-            digits[x_p + k] = d
-        _exec_ops(ops[split_at:], working, digits, cross)
-        _gather(working, idx_a, idx_b, out.amps)
-    return out
-
-
-def run_approx(
-    circuit: Circuit,
-    plan: SimPlan,
-    requests,
-    skip_zeros: bool = True,
-    engine: str = "batched",
-) -> AmplitudeBatch:
+def run_approx(circuit: Circuit, plan: SimPlan, requests) -> AmplitudeBatch:
     """Accumulate contributions of all retained prefixes, ascending by id.
 
-    The batched engine carries every retained prefix through the gate
-    sequence at once as a (prefixes, amplitudes) array, which keeps the
-    per-amplitude cost flat from small blocks up; "perjob" replays the
-    one-job-per-prefix loop that campaign workers run.
+    Every retained prefix is carried through the gate sequence at once as
+    a (prefixes, amplitudes) array, which keeps the per-amplitude cost
+    flat from small blocks up.
     """
-    if engine == "batched":
-        return run_batched(circuit, plan, requests)
-    if engine != "perjob":
-        raise ValueError(f"unknown engine {engine!r}")
-    split = split_requests(circuit.n_qubits, plan.cut.block_a, plan.cut.block_b, requests)
-    out = AmplitudeBatch.zeros(requests)
-    for prefix in plan.retained:
-        run_prefix_tree(
-            circuit, plan, int(prefix), requests, skip_zeros, _split=split, _out=out
-        )
-    return out
+    return run_batched(circuit, plan, requests)
 
 
 # ---------------------------------------------------------------------------
@@ -578,10 +456,13 @@ def run_batched(
     prefixes=None,
     row_cap: int | None = None,
 ) -> AmplitudeBatch:
-    """Sum of run_prefix_tree over retained prefixes, vectorized across rows.
+    """Sum over every path through `prefixes` (default: the retained ones).
 
     Each chunk of prefixes advances as two (rows, 2^q) arrays; cross-gate
-    digits select per-row one-qubit operators. When the request set covers
+    digits select per-row one-qubit operators. A chunk runs up to the
+    first branch gate once and every branch completion replays that
+    checkpoint, so prefixes=[p] is the work of one campaign job. When the
+    request set covers
     most of the joint space the two blocks are contracted with a matrix
     product instead of per-request gathers.
     """
@@ -638,11 +519,6 @@ def run_batched(
     out = AmplitudeBatch.zeros(requests)
     out.amps[:] = joint[idx_a, idx_b] if use_joint else acc
     return out
-
-
-def skip_zero_blocks(state: StateBlock, block_amps: int = ZERO_BLOCK_AMPS) -> np.ndarray:
-    """Mark all-zero amplitude blocks; kernels skip them without changing results."""
-    return refresh_zero_mask(state, block_amps)
 
 
 def estimate_fidelity(reference: AmplitudeBatch, candidate: AmplitudeBatch) -> float:

@@ -17,6 +17,7 @@ from scipy import stats
 
 DEFAULT_FRUGAL_M = 10  # ten probabilities per expected sample
 BOOTSTRAP_RESAMPLES = 100
+_BOOTSTRAP_BLOCK = 1 << 20  # bootstrap indices held at once
 
 
 class SamplingError(ValueError):
@@ -198,8 +199,15 @@ def tail_mass(
     scale = n_states / probs.size
     estimate = float(contrib.sum() * scale)
     gen = _philox(seed, 2)
-    picks = gen.integers(0, probs.size, size=(resamples, probs.size))
-    boots = contrib[picks].sum(axis=1) * scale
+    # blocks of rows drawn in turn repeat one (resamples, size) draw exactly,
+    # while memory stays near _BOOTSTRAP_BLOCK picks
+    rows = max(1, _BOOTSTRAP_BLOCK // probs.size)
+    boots = np.empty(resamples)
+    for start in range(0, resamples, rows):
+        stop = min(start + rows, resamples)
+        picks = gen.integers(0, probs.size, size=(stop - start, probs.size))
+        boots[start:stop] = contrib[picks].sum(axis=1)
+    boots *= scale
     return TailEstimate(estimate, float(boots.std()), threshold, resamples)
 
 

@@ -1,16 +1,24 @@
 """Dense state-vector engine: single-precision amplitudes, gate clustering,
-cache-sized slice scheduling, and the amplitude text format.
+cache-sized slice scheduling, and amplitude files.
 
 Amplitudes are kept in complex64; norms and amplitude accumulation use
 double precision.  Gates tolerate arbitrary (including non-unitary) 2x2
-operators so the path-sum engine can reuse these kernels for projector
-terms.  A state may carry an optional zero-block mask; kernels skip runs
-of all-zero blocks and keep the mask consistent, which never changes the
-numerical result.
+operators.
+
+Amplitude files come in two forms that share a leading "# key value"
+header.  Text lines ("index_hex re im" at a chosen number of significant
+digits) are the interchange format of the command line.  The exact form
+stores the raw little-endian int64 indices followed by the complex128
+amplitudes as one base64 line, with "count" and a "sha256" of that line
+in the header, so a reader can check a file without decoding it and a
+round trip is bit-identical.
 """
 from __future__ import annotations
 
+import base64
+import binascii
 import enum
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +35,6 @@ from .circuit import (
 DTYPE = np.complex64
 ACC_DTYPE = np.complex128
 DEFAULT_SLICE_BYTES = 262144  # matches a typical per-core L2 cache
-ZERO_BLOCK_AMPS = 64  # granularity of the zero-block occupancy mask
 
 # e^(i*pi*k/4) for k in 0..7; T-count and CZ-parity phases live on this wheel.
 PHASE8 = np.exp(0.25j * np.pi * np.arange(8)).astype(DTYPE)
@@ -43,7 +50,6 @@ class StateBlock:
 
     n_qubits: int
     amps: np.ndarray
-    zero_mask: np.ndarray | None = None  # True marks an all-zero block
 
     @classmethod
     def zero_state(cls, n_qubits: int) -> StateBlock:
@@ -52,32 +58,11 @@ class StateBlock:
         return cls(n_qubits, amps)
 
     def copy(self) -> StateBlock:
-        mask = None if self.zero_mask is None else self.zero_mask.copy()
-        return StateBlock(self.n_qubits, self.amps.copy(), mask)
+        return StateBlock(self.n_qubits, self.amps.copy())
 
     def norm_squared(self) -> float:
         # Accumulate in double precision regardless of amplitude dtype.
         return float(np.einsum("i,i->", self.amps, self.amps.conj(), dtype=ACC_DTYPE).real)
-
-
-def refresh_zero_mask(state: StateBlock, block_amps: int = ZERO_BLOCK_AMPS) -> np.ndarray:
-    """Recompute the occupancy mask: True for blocks that are exactly zero."""
-    block_amps = min(block_amps, len(state.amps))
-    view = state.amps.reshape(-1, block_amps)
-    state.zero_mask = ~np.any(view != 0, axis=1)
-    return state.zero_mask
-
-
-def _nonzero_runs(mask: np.ndarray, block_amps: int):
-    """Yield (start, stop) amplitude ranges covering consecutive live blocks."""
-    live = np.flatnonzero(~mask)
-    if len(live) == 0:
-        return
-    breaks = np.flatnonzero(np.diff(live) > 1)
-    starts = np.concatenate(([0], breaks + 1))
-    stops = np.concatenate((breaks, [len(live) - 1]))
-    for s, e in zip(starts, stops):
-        yield int(live[s]) * block_amps, (int(live[e]) + 1) * block_amps
 
 
 def _mat1_on_range(amps: np.ndarray, u: np.ndarray, shift: int) -> None:
@@ -93,62 +78,16 @@ def _mat1_on_range(amps: np.ndarray, u: np.ndarray, shift: int) -> None:
 
 
 def apply_matrix1(state: StateBlock, u: np.ndarray, qubit: int) -> None:
-    """Apply a 2x2 operator to one qubit, honoring the zero-block mask."""
-    n = state.n_qubits
-    shift = n - 1 - qubit
-    mask = state.zero_mask
-    if mask is None:
-        _mat1_on_range(state.amps, u, shift)
-        return
-    block = len(state.amps) // len(mask)
-    if (1 << shift) < block:
-        # Pairs stay inside a block; zero blocks map to zero blocks.
-        for start, stop in _nonzero_runs(mask, block):
-            _mat1_on_range(state.amps[start:stop], u, shift)
-        return
-    u = np.asarray(u, dtype=state.amps.dtype)
-    pbit = (1 << shift) // block
-    for j in range(len(mask)):
-        if j & pbit:
-            continue
-        k = j | pbit
-        if mask[j] and mask[k]:
-            continue
-        x0 = state.amps[j * block : (j + 1) * block]
-        x1 = state.amps[k * block : (k + 1) * block]
-        n0 = u[0, 0] * x0 + u[0, 1] * x1
-        n1 = u[1, 0] * x0 + u[1, 1] * x1
-        state.amps[j * block : (j + 1) * block] = n0
-        state.amps[k * block : (k + 1) * block] = n1
-        mask[j] = mask[k] = False
+    """Apply a 2x2 operator to one qubit."""
+    _mat1_on_range(state.amps, u, state.n_qubits - 1 - qubit)
 
 
 def apply_diag1(state: StateBlock, diag: np.ndarray, qubit: int) -> None:
-    """Apply a diagonal 1q operator diag(d0, d1); may grow the zero mask."""
-    n = state.n_qubits
-    shift = n - 1 - qubit
+    """Apply a diagonal 1q operator diag(d0, d1)."""
     d = np.asarray(diag, dtype=state.amps.dtype)
-    mask = state.zero_mask
-    if mask is None:
-        view = state.amps.reshape(-1, 2, 1 << shift)
-        view[:, 0, :] *= d[0]
-        view[:, 1, :] *= d[1]
-        return
-    block = len(state.amps) // len(mask)
-    if (1 << shift) < block:
-        for start, stop in _nonzero_runs(mask, block):
-            view = state.amps[start:stop].reshape(-1, 2, 1 << shift)
-            view[:, 0, :] *= d[0]
-            view[:, 1, :] *= d[1]
-        return
-    pbit = (1 << shift) // block
-    for j in range(len(mask)):
-        if mask[j]:
-            continue
-        value = d[1] if j & pbit else d[0]
-        state.amps[j * block : (j + 1) * block] *= value
-        if value == 0:
-            mask[j] = True
+    view = state.amps.reshape(-1, 2, 1 << (state.n_qubits - 1 - qubit))
+    view[:, 0, :] *= d[0]
+    view[:, 1, :] *= d[1]
 
 
 def _mat2_permuted(u: np.ndarray, first_is_low: bool) -> np.ndarray:
@@ -161,17 +100,9 @@ def _mat2_permuted(u: np.ndarray, first_is_low: bool) -> np.ndarray:
 
 def apply_matrix2(state: StateBlock, u: np.ndarray, qa: int, qb: int) -> None:
     """Apply a 4x4 operator to qubit pair (qa, qb); qa indexes the high bit of u."""
-    n = state.n_qubits
     lo, hi = (qa, qb) if qa < qb else (qb, qa)
     m = np.asarray(_mat2_permuted(u, qa < qb), dtype=state.amps.dtype)
-    if state.zero_mask is not None:
-        # Non-diagonal two-qubit updates repopulate blocks; rebuild the mask after.
-        block = len(state.amps) // len(state.zero_mask)
-        state.zero_mask = None
-        _apply_mat2_dense(state.amps, m, n, lo, hi)
-        refresh_zero_mask(state, block)
-        return
-    _apply_mat2_dense(state.amps, m, n, lo, hi)
+    _apply_mat2_dense(state.amps, m, state.n_qubits, lo, hi)
 
 
 def _apply_mat2_dense(amps: np.ndarray, m: np.ndarray, n: int, lo: int, hi: int) -> None:
@@ -189,15 +120,9 @@ def apply_diag2(state: StateBlock, diag4: np.ndarray, qa: int, qb: int) -> None:
     n = state.n_qubits
     sa, sb = n - 1 - qa, n - 1 - qb
     d = np.asarray(diag4, dtype=state.amps.dtype)
-    mask = state.zero_mask
-    block = None if mask is None else len(state.amps) // len(mask)
-    ranges = (
-        [(0, len(state.amps))] if mask is None else list(_nonzero_runs(mask, block))
-    )
-    for start, stop in ranges:
-        idx = np.arange(start, stop, dtype=np.int64)
-        sel = (((idx >> sa) & 1) << 1) | ((idx >> sb) & 1)
-        state.amps[start:stop] *= d.take(sel)
+    idx = np.arange(len(state.amps), dtype=np.int64)
+    sel = (((idx >> sa) & 1) << 1) | ((idx >> sb) & 1)
+    state.amps *= d.take(sel)
 
 
 def apply_gate(state: StateBlock, gate: Gate) -> None:
@@ -349,12 +274,7 @@ def apply_diagonal_cluster(
 
 def _apply_cluster_dense(state: StateBlock, cluster: GateCluster) -> None:
     if cluster.kind is ClusterKind.DIAGONAL:
-        if state.zero_mask is None:
-            apply_diagonal_cluster(state.amps, cluster, state.n_qubits)
-        else:
-            block = len(state.amps) // len(state.zero_mask)
-            for start, stop in _nonzero_runs(state.zero_mask, block):
-                apply_diagonal_cluster(state.amps[start:stop], cluster, state.n_qubits, start)
+        apply_diagonal_cluster(state.amps, cluster, state.n_qubits)
     elif cluster.kind is ClusterKind.GENERIC:
         for gate in cluster.gates:
             apply_gate(state, gate)
@@ -476,36 +396,114 @@ def fetch_amplitudes(state: StateBlock, indices) -> AmplitudeBatch:
     return AmplitudeBatch(idx, state.amps[idx].astype(ACC_DTYPE))
 
 
+_EXACT_KEYS = ("count", "sha256")
+_EXACT_BYTES = 8 + 16  # one int64 index and one complex128 amplitude
+
+
 def write_amplitudes(
-    path, batch: AmplitudeBatch, digits: int = 9, header: dict | None = None
+    path, batch: AmplitudeBatch, digits: int | None = 9, header: dict | None = None
 ) -> None:
-    """Write "index_hex re im" lines, scientific notation with `digits` significant digits."""
-    fmt = f"%x %.{digits - 1}e %.{digits - 1}e"
+    """Write an amplitude file: "# key value" header lines, then the amplitudes.
+
+    With `digits`, one "index_hex re im" line per amplitude in scientific
+    notation with that many significant digits; with digits=None, the
+    exact form.  Any "count" or "sha256" entry of `header` is replaced by
+    the file's own (exact form) or dropped (text form).
+    """
+    header = {k: v for k, v in (header or {}).items() if k not in _EXACT_KEYS}
+    if digits is None:
+        payload = base64.b64encode(
+            batch.indices.astype("<i8").tobytes() + batch.amps.astype("<c16").tobytes()
+        )
+        header["count"] = str(len(batch.indices))
+        header["sha256"] = hashlib.sha256(payload).hexdigest()
+        lines = [payload.decode("ascii")]
+    else:
+        fmt = f"%x %.{digits - 1}e %.{digits - 1}e"
+        lines = (fmt % (i, a.real, a.imag) for i, a in zip(batch.indices, batch.amps))
     with open(path, "w") as f:
-        for key, value in (header or {}).items():
+        for key, value in header.items():
             f.write(f"# {key} {value}\n")
-        for i, a in zip(batch.indices, batch.amps):
-            f.write(fmt % (i, a.real, a.imag) + "\n")
+        for line in lines:
+            f.write(line + "\n")
+
+
+def _read_file(path) -> tuple[dict, memoryview]:
+    """The leading '# key value' header entries of an amplitude file, and
+    a view of the rest with outer whitespace trimmed."""
+    with open(path, "rb") as f:
+        data = f.read()
+    header: dict[str, str] = {}
+    pos, stop = 0, len(data)
+    # a body line is never sliced out here: exact payloads are large
+    while pos < stop and data[pos : pos + 1] in b"# \t\r\n":
+        end = data.find(b"\n", pos)
+        end = stop if end < 0 else end + 1
+        line = data[pos:end].strip()
+        if line and not line.startswith(b"#"):
+            break
+        entry = line[1:].decode().split(None, 1)
+        if len(entry) == 2:
+            header[entry[0]] = entry[1]
+        pos = end
+    while stop > pos and data[stop - 1 : stop].isspace():
+        stop -= 1
+    return header, memoryview(data)[pos:stop]
+
+
+def _check_payload(header: dict, payload) -> None:
+    if hashlib.sha256(payload).hexdigest() != header.get("sha256"):
+        raise ValueError("amplitude payload does not match its sha256 header")
+
+
+def _decode_exact(header: dict, payload) -> AmplitudeBatch:
+    _check_payload(header, payload)
+    count = int(header.get("count", ""))
+    raw = binascii.a2b_base64(payload)
+    if len(raw) != _EXACT_BYTES * count:
+        raise ValueError(f"exact payload holds {len(raw)} bytes, not {count} amplitudes")
+    return AmplitudeBatch(
+        np.frombuffer(raw, "<i8", count).astype(np.int64),
+        np.frombuffer(raw, "<c16", count, offset=8 * count).astype(ACC_DTYPE),
+    )
+
+
+def read_amplitude_header(path, verify: bool = False) -> dict:
+    """The "# key value" header of an amplitude file, without decoding its amplitudes.
+
+    With verify, the payload of an exact file is also checked against its
+    sha256 header, still without decoding it; a mismatch, or a file that
+    is not in the exact form, raises ValueError.
+    """
+    header, body = _read_file(path)
+    if verify:
+        _check_payload(header, body)
+    return header
 
 
 def read_amplitudes(path) -> tuple[AmplitudeBatch, dict]:
-    """Parse an amplitude file; returns the batch and any '# key value' header."""
-    header: dict[str, str] = {}
+    """Parse an amplitude file of either form; returns the batch and its header.
+
+    An exact file is checked against its sha256 and count before it is
+    decoded, and any mismatch raises ValueError.
+    """
+    header, body = _read_file(path)
+    if "sha256" in header:
+        return _decode_exact(header, body), header
     indices: list[int] = []
     amps: list[complex] = []
-    with open(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip().split(None, 1)
-                if len(body) == 2:
-                    header[body[0]] = body[1]
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"amplitude line {lineno}: expected 3 fields, got {raw!r}")
-            indices.append(int(parts[0], 16))
-            amps.append(complex(float(parts[1]), float(parts[2])))
+    for raw in bytes(body).split(b"\n"):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith(b"#"):
+            entry = line[1:].decode().split(None, 1)
+            if len(entry) == 2:
+                header[entry[0]] = entry[1]
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise ValueError(f"amplitude line {line!r}: expected 3 fields")
+        indices.append(int(parts[0], 16))
+        amps.append(complex(float(parts[1]), float(parts[2])))
     return AmplitudeBatch(np.array(indices, dtype=np.int64), np.array(amps)), header

@@ -122,6 +122,19 @@ class TestSample:
         assert summary["tail_mass"] >= 0.0
         assert 60 <= summary["accepted_count"] <= 500
 
+    def test_truncated_amplitudes_sample_their_own_distribution(self, tmp_path, capsys):
+        circ = tmp_path / "circ.txt"
+        run_ok(["generate", "--rows", "4", "--cols", "4", "--depth", "20", "-o", str(circ)])
+        amp_file = tmp_path / "approx.amp"
+        run_ok(["pathsim", str(circ), "--fidelity", "0.125", "-o", str(amp_file)])
+        assert read_amplitudes(amp_file)[1]["fidelity"] == "0.125"
+        capsys.readouterr()
+        run_ok(["sample", "--amps", str(amp_file), "--count", "20000", "--mode", "frugal",
+                "-o", str(tmp_path / "bits.txt")])
+        summary = json.loads(capsys.readouterr().err)
+        assert abs(summary["accepted_count"] - 20000) <= 1000
+        assert summary["tail_mass"] > 0.0
+
     def test_partial_amplitude_file_rejected(self, circuit_file, tmp_path, capsys):
         idx_file = tmp_path / "idx.txt"
         idx_file.write_text("0\n1\n")

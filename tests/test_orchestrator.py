@@ -13,7 +13,7 @@ from gridsim.orchestrator import (
     status,
 )
 from gridsim.pathsum import make_plan, run_approx
-from gridsim.statevec import read_amplitudes, run_full, write_amplitudes
+from gridsim.statevec import AmplitudeBatch, read_amplitudes, run_full, write_amplitudes
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +114,30 @@ class TestRunCampaign:
                 fault_spec={doomed: 99},
             )
         assert doomed in err.value.failed
+        assert err.value.exit_codes[doomed] == 3
+        assert f"{doomed} (exit code 3)" in str(err.value)
+
+    def test_raising_worker_names_exit_code_1(self, small, tmp_path, monkeypatch):
+        circuit, plan, requests = small
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("worker failure under test")
+
+        monkeypatch.setattr("gridsim.orchestrator.run_batched", broken)
+        with pytest.raises(CampaignError) as err:
+            run_campaign(circuit, plan, requests, str(tmp_path), retry_limit=0)
+        assert not isinstance(err.value, MergeError)
+        assert set(err.value.failed) == {int(p) for p in plan.retained}
+        assert set(err.value.exit_codes.values()) == {1}
+        assert "(exit code 1)" in str(err.value)
+
+    def test_fault_run_sweeps_only_its_own_tmp_files(self, small, tmp_path):
+        circuit, plan, requests = small
+        foreign = tmp_path / "0123456789abcdef.00000001.amp.tmp.4242"
+        foreign.write_text("another campaign's uncommitted shard\n")
+        victims = {int(p): 1 for p in plan.retained[::2]}
+        run_campaign(circuit, plan, requests, str(tmp_path), workers=2, fault_spec=victims)
+        assert [n for n in os.listdir(tmp_path) if ".tmp." in n] == [foreign.name]
 
     def test_report_file(self, small, tmp_path):
         circuit, plan, requests = small
@@ -132,6 +156,7 @@ class TestRunCampaign:
         assert report["jobs"] == len(plan.retained)
         assert report["forecast_seconds"] == 12.5
         assert set(report["per_job_seconds"]) == {str(int(p)) for p in plan.retained}
+        assert report["child_exit_codes"] == [[0]]
         assert result.job_seconds_total == pytest.approx(
             sum(float(v) for v in report["per_job_seconds"].values()), abs=1e-5
         )
@@ -218,5 +243,74 @@ class TestMerge:
         os.remove(os.path.join(shard_dir, victim.filename))
         os.remove(src)
         write_amplitudes(os.path.join(shard_dir, victim.filename), batch, digits=17, header=header)
+        with pytest.raises(MergeError):
+            merge(circuit, plan, requests, shard_dir)
+
+
+def _damage_payload(path, damage):
+    lines = open(path).read().splitlines()
+    assert all(line.startswith("#") for line in lines[:-1])
+    lines[-1] = damage(lines[-1])
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+
+
+def _flip_one_char(payload):
+    mid = len(payload) // 2
+    return payload[:mid] + ("B" if payload[mid] == "A" else "A") + payload[mid + 1 :]
+
+
+class TestExactShards:
+    def test_round_trip_is_bit_for_bit(self, small, tmp_path):
+        rng = np.random.default_rng(4)
+        batch = AmplitudeBatch(
+            rng.integers(0, 1 << 62, size=257),
+            rng.standard_normal(257) * 1e-5 + 1j * rng.standard_normal(257),
+        )
+        batch.amps[:3] = [-0.0, 5e-324, 1 / 3]
+        path = tmp_path / "exact.amp"
+        write_amplitudes(path, batch, digits=None, header={"tag": "exact"})
+        back, header = read_amplitudes(path)
+        assert header["tag"] == "exact" and header["count"] == "257"
+        assert back.indices.tobytes() == batch.indices.tobytes()
+        assert back.amps.tobytes() == batch.amps.tobytes()
+
+        # a committed shard rewritten from what it reads back is the same file
+        circuit, plan, requests = small
+        run_campaign(circuit, plan, requests, str(tmp_path / "s"))
+        src = tmp_path / "s" / shard(circuit, plan, requests)[0].filename
+        shard_batch, shard_header = read_amplitudes(src)
+        write_amplitudes(tmp_path / "again.amp", shard_batch, digits=None, header=shard_header)
+        assert (tmp_path / "again.amp").read_bytes() == src.read_bytes()
+
+    def test_flipped_payload_character_is_pending_and_fails_merge(self, small, tmp_path):
+        circuit, plan, requests = small
+        shard_dir = str(tmp_path)
+        run_campaign(circuit, plan, requests, shard_dir)
+        victim = shard(circuit, plan, requests)[1]
+        _damage_payload(os.path.join(shard_dir, victim.filename), _flip_one_char)
+        st = status(circuit, plan, requests, shard_dir)
+        assert st.pending == (victim.prefix,)
+        with pytest.raises(MergeError, match="sha256") as err:
+            merge(circuit, plan, requests, shard_dir)
+        assert err.value.failed == (victim.prefix,)
+
+    def test_campaign_recomputes_damaged_shard(self, small, tmp_path):
+        circuit, plan, requests = small
+        clean = run_campaign(circuit, plan, requests, str(tmp_path / "clean"))
+        shard_dir = str(tmp_path / "damaged")
+        run_campaign(circuit, plan, requests, shard_dir)
+        victim = shard(circuit, plan, requests)[1]
+        _damage_payload(os.path.join(shard_dir, victim.filename), _flip_one_char)
+        again = run_campaign(circuit, plan, requests, shard_dir)
+        assert again.rounds == 1
+        assert again.batch.amps.tobytes() == clean.batch.amps.tobytes()
+
+    def test_truncated_payload_rejected(self, small, tmp_path):
+        circuit, plan, requests = small
+        shard_dir = str(tmp_path)
+        run_campaign(circuit, plan, requests, shard_dir)
+        victim = shard(circuit, plan, requests)[0]
+        _damage_payload(os.path.join(shard_dir, victim.filename), lambda p: p[: len(p) // 2])
         with pytest.raises(MergeError):
             merge(circuit, plan, requests, shard_dir)

@@ -19,7 +19,7 @@ from gridsim.pathsum import (
     path_id,
     retained_prefixes,
     run_approx,
-    run_prefix_tree,
+    run_batched,
     schmidt_decompose,
     split_requests,
 )
@@ -164,8 +164,8 @@ class TestTwoQubitPaths:
         self.idx = np.arange(4, dtype=np.int64)
 
     def test_each_path_is_a_projected_branch(self):
-        b0 = run_prefix_tree(self.circ, self.plan, 0, self.idx)
-        b1 = run_prefix_tree(self.circ, self.plan, 1, self.idx)
+        b0 = run_batched(self.circ, self.plan, self.idx, prefixes=[0])
+        b1 = run_batched(self.circ, self.plan, self.idx, prefixes=[1])
         assert_states_close(b0.amps, [0.5, 0.5, 0.0, 0.0], 1e-7)
         assert_states_close(b1.amps, [0.0, 0.0, 0.5, -0.5], 1e-7)
 
@@ -194,22 +194,15 @@ class TestPathSums:
             got = run_approx(circuit_4x4_d16, plan, idx)
             assert_states_close(got.amps, reference.amps, 1e-6)
 
-    def test_skip_zeros_is_bit_identical(self, circuit_4x4_d16):
-        plan = make_plan(circuit_4x4_d16, x_b=3)
-        idx = np.arange(0, 1 << 16, 257, dtype=np.int64)
-        on = run_prefix_tree(circuit_4x4_d16, plan, int(plan.retained[3]), idx, skip_zeros=True)
-        off = run_prefix_tree(circuit_4x4_d16, plan, int(plan.retained[3]), idx, skip_zeros=False)
-        np.testing.assert_array_equal(on.amps, off.amps)
-
     def test_prefix_order_does_not_matter(self, circuit_3x3_d12):
         plan = make_plan(circuit_3x3_d12, x_b=0)
         idx = np.arange(512, dtype=np.int64)
         forward = AmplitudeBatch.zeros(idx)
         backward = AmplitudeBatch.zeros(idx)
         for pfx in plan.retained:
-            forward.amps += run_prefix_tree(circuit_3x3_d12, plan, int(pfx), idx).amps
+            forward.amps += run_batched(circuit_3x3_d12, plan, idx, prefixes=[pfx]).amps
         for pfx in plan.retained[::-1]:
-            backward.amps += run_prefix_tree(circuit_3x3_d12, plan, int(pfx), idx).amps
+            backward.amps += run_batched(circuit_3x3_d12, plan, idx, prefixes=[pfx]).amps
         np.testing.assert_allclose(forward.amps, backward.amps, rtol=1e-10, atol=1e-14)
 
     def test_shallow_paths_carry_near_equal_norms(self):
@@ -222,7 +215,7 @@ class TestPathSums:
             norms = [
                 float(np.vdot(b.amps, b.amps).real)
                 for b in (
-                    run_prefix_tree(circ, plan, int(p), idx) for p in plan.retained
+                    run_batched(circ, plan, idx, prefixes=[p]) for p in plan.retained
                 )
             ]
             norms = np.array(norms)

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gridsim.sampler import (
+    BOOTSTRAP_RESAMPLES,
     SampleRequest,
     SamplingError,
     committed_indices,
@@ -224,3 +226,36 @@ class TestPorterThomasFit:
     def test_rejects_small_batches(self):
         with pytest.raises(SamplingError):
             porter_thomas_fit(np.full(100, 1e-3))
+
+
+def _one_shot_tail_sigma(probs, n_qubits, m_star, seed):
+    # the bootstrap as a single (resamples, batch) draw: the reference
+    n_states = float(1 << n_qubits)
+    contrib = np.where(probs > m_star / n_states, probs, 0.0)
+    gen = np.random.Generator(np.random.Philox(key=[seed, 2]))
+    picks = gen.integers(0, probs.size, size=(BOOTSTRAP_RESAMPLES, probs.size))
+    return float((contrib[picks].sum(axis=1) * (n_states / probs.size)).std())
+
+
+class TestTailMassBootstrap:
+    @pytest.mark.parametrize("block", [None, 3 * 4097])
+    def test_row_blocks_repeat_the_one_shot_draw(self, block, monkeypatch):
+        # 3 rows of 4097 leave an odd count of draws per block
+        if block is not None:
+            monkeypatch.setattr("gridsim.sampler._BOOTSTRAP_BLOCK", block)
+        rng = np.random.default_rng(12)
+        for size in (4096, 4097, 30001):
+            probs = rng.exponential(size=size) / (1 << 12)
+            got = tail_mass(probs, 12, m_star=2, seed=5)
+            assert got.sigma > 0
+            assert got.sigma == _one_shot_tail_sigma(probs, 12, 2, 5)
+
+    def test_memory_follows_the_batch(self):
+        probs = np.random.default_rng(13).exponential(size=1 << 18) / (1 << 18)
+        tracemalloc.start()
+        try:
+            tail_mass(probs, 18, m_star=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
