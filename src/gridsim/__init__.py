@@ -1,10 +1,10 @@
 """Simulator suite for random universal circuits on planar qubit grids.
 
-Two engines compute amplitudes of the same circuits: an exact cache-blocked
-state vector (statevec) and a cut-based truncated path sum whose fidelity is
-the retained fraction of paths (pathsum). Around them sit a hardened
-benchmark generator (benchgen), frugal rejection sampling of output
-bitstrings (sampler), a runtime and dollar cost model (costmodel), a
+Two engines compute amplitudes of the same circuits with one set of gate
+kernels: an exact state vector (statevec) and a cut-based truncated path
+sum whose fidelity is the retained fraction of paths (pathsum). Around them
+sit a hardened benchmark generator (benchgen), frugal rejection sampling of
+output bitstrings (sampler), a runtime and dollar cost model (costmodel), a
 filesystem-coordinated job orchestrator (orchestrator), and an interactive
 claim verifier (validate).
 """

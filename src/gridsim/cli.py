@@ -72,8 +72,10 @@ def _default_indices(circuit: Circuit, amps_file: str | None) -> np.ndarray:
 
 
 def _emit_batch(out_path: str | None, batch, circuit: Circuit, digits: int, plan=None) -> None:
-    """Write a batch as text; a truncated run's header also records the
-    fidelity it realized, retained prefixes over the prefix space."""
+    """Write a batch as text; a truncated run's header also records its
+    fidelity as retained prefixes over the prefix space.  That fraction is
+    not the norm of the truncated state, which differs from it when the
+    retained prefixes carry unequal norms."""
     header = {"n_qubits": str(circuit.n_qubits), "circuit": circuit_hash(circuit)}
     if plan is not None:
         header["fidelity"] = repr(len(plan.retained) / plan.prefix_space)

@@ -28,7 +28,16 @@ from .circuit import (
     gate_block,
     gate_matrix,
 )
-from .statevec import ACC_DTYPE, AmplitudeBatch, DTYPE
+from .statevec import (
+    ACC_DTYPE,
+    AmplitudeBatch,
+    DTYPE,
+    _b_diag1,
+    _b_mat1,
+    _one_qubit_op,
+    apply_op,
+    lower_gate,
+)
 
 _P0 = np.diag([1.0, 0.0]).astype(np.complex128)
 _P1 = np.diag([0.0, 1.0]).astype(np.complex128)
@@ -128,8 +137,8 @@ def split_requests(
     return out[0], out[1]
 
 
-# Lowered op encodings: ("diag1", blk, q, d2), ("mat1", blk, q, u2),
-# ("diag2", blk, qa, qb, d4), ("mat2", blk, qa, qb, u4), ("cross", k).
+# Lowered ops are statevec's block-local encodings (blk 0 is block a, 1 is
+# block b) plus ("cross", k) for cross gate k.
 def _lower(circuit: Circuit, cut: Cut):
     cache = getattr(circuit, "_lowered", None)
     if cache is None:
@@ -163,24 +172,9 @@ def _lower_uncached(circuit: Circuit, cut: Cut):
             cross.append({"cycle": g.cycle, "terms": terms, "rank": dec.rank})
             ops.append(("cross", k))
             continue
-        blk = 0 if side == "a" else 1
-        pos = pos_a if side == "a" else pos_b
-        u = gate_matrix(g)
-        if len(g.qubits) == 1:
-            ops.append(_one_qubit_op(u, blk, pos[g.qubits[0]]))
-        else:
-            la, lb = pos[g.qubits[0]], pos[g.qubits[1]]
-            if g.kind is GateKind.CZ:
-                ops.append(("diag2", blk, la, lb, np.diag(u).astype(DTYPE)))
-            else:
-                ops.append(("mat2", blk, la, lb, u))
+        blk, pos = (0, pos_a) if side == "a" else (1, pos_b)
+        ops.append(lower_gate(g, blk, pos))
     return ops, cross
-
-
-def _one_qubit_op(u: np.ndarray, blk: int, local_q: int) -> tuple:
-    if abs(u[0, 1]) == 0 and abs(u[1, 0]) == 0:
-        return ("diag1", blk, local_q, np.diag(u).astype(DTYPE))
-    return ("mat1", blk, local_q, np.asarray(u, dtype=DTYPE))
 
 
 def path_digits(path_id: int, radices: tuple[int, ...]) -> tuple[int, ...]:
@@ -322,73 +316,8 @@ def run_approx(circuit: Circuit, plan: SimPlan, requests) -> AmplitudeBatch:
 
 
 # ---------------------------------------------------------------------------
-# Prefix-batched execution: amps arrays hold one row per live prefix.
-
-
-def _b_view1(arr: np.ndarray, nb: int, q: int):
-    return arr.reshape(arr.shape[0], 1 << q, 2, 1 << (nb - 1 - q))
-
-
-def _b_diag1(arr: np.ndarray, nb: int, q: int, d) -> None:
-    view = _b_view1(arr, nb, q)
-    if d.ndim == 1:
-        view *= d.reshape(1, 1, 2, 1)
-    else:  # one diagonal per row
-        view *= d.reshape(-1, 1, 2, 1)
-
-
-def _b_mat1(arr: np.ndarray, nb: int, q: int, u) -> None:
-    view = _b_view1(arr, nb, q)
-    v0 = view[:, :, 0, :]
-    v1 = view[:, :, 1, :]
-    if u.ndim == 2:
-        t0 = u[0, 0] * v0 + u[0, 1] * v1
-        t1 = u[1, 0] * v0 + u[1, 1] * v1
-    else:  # one matrix per row
-        c = u.reshape(-1, 2, 2, 1, 1)
-        t0 = c[:, 0, 0] * v0 + c[:, 0, 1] * v1
-        t1 = c[:, 1, 0] * v0 + c[:, 1, 1] * v1
-    view[:, :, 0, :] = t0
-    view[:, :, 1, :] = t1
-
-
-def _b_view2(arr: np.ndarray, nb: int, qa: int, qb: int):
-    lo, hi = (qa, qb) if qa < qb else (qb, qa)
-    return arr.reshape(
-        arr.shape[0], 1 << lo, 2, 1 << (hi - lo - 1), 2, 1 << (nb - 1 - hi)
-    )
-
-
-def _b_diag2(arr: np.ndarray, nb: int, qa: int, qb: int, d4) -> None:
-    m = np.asarray(d4).reshape(2, 2)
-    if qa > qb:
-        m = m.T
-    view = _b_view2(arr, nb, qa, qb)
-    view *= m.reshape(1, 1, 2, 1, 2, 1)
-
-
-def _b_mat2(arr: np.ndarray, nb: int, qa: int, qb: int, u) -> None:
-    view = _b_view2(arr, nb, qa, qb)
-    # axis 2 carries the lower local qubit; u is indexed |qa qb>
-    swap = qa > qb
-    sub = lambda i, j: view[:, :, j, :, i, :] if swap else view[:, :, i, :, j, :]
-    new = {}
-    for i in (0, 1):
-        for j in (0, 1):
-            acc = None
-            for k in (0, 1):
-                for l in (0, 1):
-                    coeff = complex(u[2 * i + j, 2 * k + l])
-                    if coeff == 0:
-                        continue
-                    part = coeff * sub(k, l)
-                    acc = part if acc is None else acc + part
-            new[i, j] = acc
-    for (i, j), t in new.items():
-        if t is None:
-            sub(i, j)[:] = 0
-        else:
-            sub(i, j)[:] = t
+# Prefix-batched execution: amps arrays hold one row per live prefix, and
+# statevec's kernels advance them; only a cross gate's term varies by row.
 
 
 def _term_table(term_ops) -> tuple[int, np.ndarray, bool]:
@@ -416,15 +345,8 @@ def _exec_ops_batched(ops, blocks, n_blk, digits, cross) -> None:
     """Run lowered ops on (rows, amps) arrays; digits maps cross index ->
     scalar term digit or a per-row digit column."""
     for op in ops:
-        tag = op[0]
-        if tag == "diag1":
-            _b_diag1(blocks[op[1]], n_blk[op[1]], op[2], op[3])
-        elif tag == "mat1":
-            _b_mat1(blocks[op[1]], n_blk[op[1]], op[2], op[3])
-        elif tag == "diag2":
-            _b_diag2(blocks[op[1]], n_blk[op[1]], op[2], op[3], op[4])
-        elif tag == "mat2":
-            _b_mat2(blocks[op[1]], n_blk[op[1]], op[2], op[3], op[4])
+        if op[0] != "cross":
+            apply_op(op, blocks, n_blk)
         else:
             dk = digits[op[1]]
             for blk, (q, table, diag) in zip((0, 1), _cross_tables(cross[op[1]])):
@@ -454,7 +376,6 @@ def run_batched(
     plan: SimPlan,
     requests,
     prefixes=None,
-    row_cap: int | None = None,
 ) -> AmplitudeBatch:
     """Sum over every path through `prefixes` (default: the retained ones).
 
@@ -480,8 +401,7 @@ def run_batched(
     use_joint = n_req * 4 >= na * nb and na * nb <= (1 << 24)
     joint = np.zeros((na, nb), dtype=ACC_DTYPE) if use_joint else None
     acc = None if use_joint else np.zeros(n_req, dtype=ACC_DTYPE)
-    if row_cap is None:
-        row_cap = max(1, _ROW_BYTES_CAP // (8 * (na + nb)))
+    row_cap = max(1, _ROW_BYTES_CAP // (8 * (na + nb)))
     n_blk = (cut.n_a, cut.n_b)
     branch_radices = plan.radices[x_p:]
 

@@ -1,9 +1,10 @@
-"""Dense state-vector engine: single-precision amplitudes, gate clustering,
-cache-sized slice scheduling, and amplitude files.
+"""Dense state-vector engine: single-precision amplitudes, the gate kernels
+both engines run, and amplitude files.
 
 Amplitudes are kept in complex64; norms and amplitude accumulation use
 double precision.  Gates tolerate arbitrary (including non-unitary) 2x2
-operators.
+operators.  The kernels act on (rows, 2^n) arrays: the path sum keeps one
+row per live prefix, and the full state vector is the one-row case.
 
 Amplitude files come in two forms that share a leading "# key value"
 header.  Text lines ("index_hex re im" at a chosen number of significant
@@ -28,16 +29,11 @@ from .circuit import (
     DIAGONAL_KINDS,
     Gate,
     GateKind,
-    ONE_QUBIT_KINDS,
     gate_matrix,
 )
 
 DTYPE = np.complex64
 ACC_DTYPE = np.complex128
-DEFAULT_SLICE_BYTES = 262144  # matches a typical per-core L2 cache
-
-# e^(i*pi*k/4) for k in 0..7; T-count and CZ-parity phases live on this wheel.
-PHASE8 = np.exp(0.25j * np.pi * np.arange(8)).astype(DTYPE)
 
 
 class MemoryBudgetError(MemoryError):
@@ -57,85 +53,104 @@ class StateBlock:
         amps[0] = 1.0
         return cls(n_qubits, amps)
 
-    def copy(self) -> StateBlock:
-        return StateBlock(self.n_qubits, self.amps.copy())
 
-    def norm_squared(self) -> float:
-        # Accumulate in double precision regardless of amplitude dtype.
-        return float(np.einsum("i,i->", self.amps, self.amps.conj(), dtype=ACC_DTYPE).real)
+# Kernels over (rows, 2^n) complex64 arrays, one state per row, qubit 0 in
+# the most significant bit.
 
 
-def _mat1_on_range(amps: np.ndarray, u: np.ndarray, shift: int) -> None:
-    # In-place 2x2 update on an aligned range where the pair stride fits.
-    u = np.asarray(u, dtype=amps.dtype)
-    view = amps.reshape(-1, 2, 1 << shift)
-    x0 = view[:, 0, :]
-    x1 = view[:, 1, :]
-    n0 = u[0, 0] * x0 + u[0, 1] * x1
-    n1 = u[1, 0] * x0 + u[1, 1] * x1
-    view[:, 0, :] = n0
-    view[:, 1, :] = n1
+def _b_view1(arr: np.ndarray, nb: int, q: int):
+    return arr.reshape(arr.shape[0], 1 << q, 2, 1 << (nb - 1 - q))
 
 
-def apply_matrix1(state: StateBlock, u: np.ndarray, qubit: int) -> None:
-    """Apply a 2x2 operator to one qubit."""
-    _mat1_on_range(state.amps, u, state.n_qubits - 1 - qubit)
+def _b_diag1(arr: np.ndarray, nb: int, q: int, d) -> None:
+    view = _b_view1(arr, nb, q)
+    if d.ndim == 1:
+        view *= d.reshape(1, 1, 2, 1)
+    else:  # one diagonal per row
+        view *= d.reshape(-1, 1, 2, 1)
 
 
-def apply_diag1(state: StateBlock, diag: np.ndarray, qubit: int) -> None:
-    """Apply a diagonal 1q operator diag(d0, d1)."""
-    d = np.asarray(diag, dtype=state.amps.dtype)
-    view = state.amps.reshape(-1, 2, 1 << (state.n_qubits - 1 - qubit))
-    view[:, 0, :] *= d[0]
-    view[:, 1, :] *= d[1]
+def _b_mat1(arr: np.ndarray, nb: int, q: int, u) -> None:
+    view = _b_view1(arr, nb, q)
+    v0 = view[:, :, 0, :]
+    v1 = view[:, :, 1, :]
+    if u.ndim == 2:
+        t0 = u[0, 0] * v0 + u[0, 1] * v1
+        t1 = u[1, 0] * v0 + u[1, 1] * v1
+    else:  # one matrix per row
+        c = u.reshape(-1, 2, 2, 1, 1)
+        t0 = c[:, 0, 0] * v0 + c[:, 0, 1] * v1
+        t1 = c[:, 1, 0] * v0 + c[:, 1, 1] * v1
+    view[:, :, 0, :] = t0
+    view[:, :, 1, :] = t1
 
 
-def _mat2_permuted(u: np.ndarray, first_is_low: bool) -> np.ndarray:
-    # Gate matrices index |first second>; swap if the low qubit is listed second.
-    if first_is_low:
-        return u
-    perm = [0, 2, 1, 3]
-    return u[np.ix_(perm, perm)]
-
-
-def apply_matrix2(state: StateBlock, u: np.ndarray, qa: int, qb: int) -> None:
-    """Apply a 4x4 operator to qubit pair (qa, qb); qa indexes the high bit of u."""
+def _b_view2(arr: np.ndarray, nb: int, qa: int, qb: int):
     lo, hi = (qa, qb) if qa < qb else (qb, qa)
-    m = np.asarray(_mat2_permuted(u, qa < qb), dtype=state.amps.dtype)
-    _apply_mat2_dense(state.amps, m, state.n_qubits, lo, hi)
+    return arr.reshape(
+        arr.shape[0], 1 << lo, 2, 1 << (hi - lo - 1), 2, 1 << (nb - 1 - hi)
+    )
 
 
-def _apply_mat2_dense(amps: np.ndarray, m: np.ndarray, n: int, lo: int, hi: int) -> None:
-    view = amps.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, -1)
-    x = [view[:, 0, :, 0, :], view[:, 0, :, 1, :], view[:, 1, :, 0, :], view[:, 1, :, 1, :]]
-    out = [m[i, 0] * x[0] + m[i, 1] * x[1] + m[i, 2] * x[2] + m[i, 3] * x[3] for i in range(4)]
-    view[:, 0, :, 0, :] = out[0]
-    view[:, 0, :, 1, :] = out[1]
-    view[:, 1, :, 0, :] = out[2]
-    view[:, 1, :, 1, :] = out[3]
+def _b_diag2(arr: np.ndarray, nb: int, qa: int, qb: int, d4) -> None:
+    m = np.asarray(d4).reshape(2, 2)
+    if qa > qb:
+        m = m.T
+    view = _b_view2(arr, nb, qa, qb)
+    view *= m.reshape(1, 1, 2, 1, 2, 1)
 
 
-def apply_diag2(state: StateBlock, diag4: np.ndarray, qa: int, qb: int) -> None:
-    """Apply a diagonal 4x4 operator given as its diagonal (|qa qb> order)."""
-    n = state.n_qubits
-    sa, sb = n - 1 - qa, n - 1 - qb
-    d = np.asarray(diag4, dtype=state.amps.dtype)
-    idx = np.arange(len(state.amps), dtype=np.int64)
-    sel = (((idx >> sa) & 1) << 1) | ((idx >> sb) & 1)
-    state.amps *= d.take(sel)
+def _b_mat2(arr: np.ndarray, nb: int, qa: int, qb: int, u) -> None:
+    view = _b_view2(arr, nb, qa, qb)
+    # axis 2 carries the lower local qubit; u is indexed |qa qb>
+    swap = qa > qb
+    sub = lambda i, j: view[:, :, j, :, i, :] if swap else view[:, :, i, :, j, :]
+    new = {}
+    for i in (0, 1):
+        for j in (0, 1):
+            acc = None
+            for k in (0, 1):
+                for l in (0, 1):
+                    coeff = complex(u[2 * i + j, 2 * k + l])
+                    if coeff == 0:
+                        continue
+                    part = coeff * sub(k, l)
+                    acc = part if acc is None else acc + part
+            new[i, j] = acc
+    for (i, j), t in new.items():
+        if t is None:
+            sub(i, j)[:] = 0
+        else:
+            sub(i, j)[:] = t
 
 
-def apply_gate(state: StateBlock, gate: Gate) -> None:
-    """Apply one circuit gate, using diagonal fast paths for T and CZ."""
+# Lowered op encodings: ("diag1", blk, q, d2), ("mat1", blk, q, u2),
+# ("diag2", blk, qa, qb, d4) and ("mat2", blk, qa, qb, u4), where blk picks
+# one of the arrays and q, qa, qb are qubit positions within it.
+_KERNELS = {"diag1": _b_diag1, "mat1": _b_mat1, "diag2": _b_diag2, "mat2": _b_mat2}
+
+
+def _one_qubit_op(u: np.ndarray, blk: int, local_q: int) -> tuple:
+    if abs(u[0, 1]) == 0 and abs(u[1, 0]) == 0:
+        return ("diag1", blk, local_q, np.diag(u).astype(DTYPE))
+    return ("mat1", blk, local_q, np.asarray(u, dtype=DTYPE))
+
+
+def lower_gate(gate: Gate, blk: int, pos) -> tuple:
+    """The op for a gate acting inside array blk; pos[q] is qubit q's position there."""
     u = gate_matrix(gate)
-    if gate.kind is GateKind.T:
-        apply_diag1(state, np.diag(u), gate.qubits[0])
-    elif gate.kind is GateKind.CZ:
-        apply_diag2(state, np.diag(u), gate.qubits[0], gate.qubits[1])
-    elif gate.kind in ONE_QUBIT_KINDS:
-        apply_matrix1(state, u, gate.qubits[0])
-    else:
-        apply_matrix2(state, u, gate.qubits[0], gate.qubits[1])
+    if len(gate.qubits) == 1:
+        return _one_qubit_op(u, blk, pos[gate.qubits[0]])
+    la, lb = pos[gate.qubits[0]], pos[gate.qubits[1]]
+    if gate.kind is GateKind.CZ:
+        return ("diag2", blk, la, lb, np.diag(u).astype(DTYPE))
+    return ("mat2", blk, la, lb, u)
+
+
+def apply_op(op: tuple, blocks, n_blk) -> None:
+    """Apply one lowered op in place to blocks[blk], a (rows, 2^n_blk[blk]) array."""
+    blk = op[1]
+    _KERNELS[op[0]](blocks[blk], n_blk[blk], *op[2:])
 
 
 class ClusterKind(enum.Enum):
@@ -200,6 +215,9 @@ def _gate_mask(gate: Gate) -> int:
 def cluster_gates(circuit: Circuit) -> list[GateCluster]:
     """Group gates into clusters; replaying clusters in order is equivalent.
 
+    No engine applies clusters: run_full runs gate by gate, and the
+    grouping is kept for inspection (the benchmark reports its count).
+
     A gate may hop backwards over clusters it commutes with (disjoint
     qubits, or both diagonal) and merges into the nearest cluster of its
     own kind that can take it.
@@ -242,102 +260,9 @@ def _cluster_is_identity(cl: GateCluster) -> bool:
     return not np.any(cl.t_counts) and not any(cl.cz_parity.values())
 
 
-def _diag_cluster_terms(cl: GateCluster):
-    tq = [(q, int(c)) for q, c in enumerate(cl.t_counts) if c]
-    pairs = [p for p, par in cl.cz_parity.items() if par]
-    return tq, pairs
-
-
-def apply_diagonal_cluster(
-    state_amps: np.ndarray, cluster: GateCluster, n_qubits: int, base_index: int = 0
-) -> None:
-    """One read-modify-write pass applying all T counts and CZ parities.
-
-    The phase exponent is accumulated mod 8 per amplitude index, so the
-    whole cluster costs a single multiplier lookup per amplitude.
-    """
-    tq, pairs = _diag_cluster_terms(cluster)
-    if not tq and not pairs:
-        return
-    idx = np.arange(base_index, base_index + len(state_amps), dtype=np.int64)
-    exp = np.zeros(len(state_amps), dtype=np.int64)
-    for q, count in tq:
-        shift = n_qubits - 1 - q
-        exp += count * ((idx >> shift) & 1)
-    if pairs:
-        par = np.zeros(len(state_amps), dtype=np.int64)
-        for a, b in pairs:
-            par ^= (idx >> (n_qubits - 1 - a)) & (idx >> (n_qubits - 1 - b)) & 1
-        exp += par << 2
-    state_amps *= PHASE8.take(exp & 7)
-
-
-def _apply_cluster_dense(state: StateBlock, cluster: GateCluster) -> None:
-    if cluster.kind is ClusterKind.DIAGONAL:
-        apply_diagonal_cluster(state.amps, cluster, state.n_qubits)
-    elif cluster.kind is ClusterKind.GENERIC:
-        for gate in cluster.gates:
-            apply_gate(state, gate)
-    else:
-        u = gate_matrix(cluster.gates[0])
-        q = 0
-        mask = cluster.qubit_mask
-        while mask:
-            if mask & 1:
-                apply_matrix1(state, u, q)
-            mask >>= 1
-            q += 1
-
-
-def apply_cluster(state: StateBlock, cluster: GateCluster) -> None:
-    """Apply a cluster to the whole state."""
-    _apply_cluster_dense(state, cluster)
-
-
-def _slice_local(cluster: GateCluster, n: int, slice_amps: int) -> bool:
-    # A cluster can run inside one slice when every touched pair stays inside.
-    if cluster.kind is ClusterKind.DIAGONAL:
-        return True
-    if cluster.kind is ClusterKind.GENERIC:
-        return False
-    lowest = n  # qubits >= n - log2(slice) have strides below the slice length
-    mask = cluster.qubit_mask
-    q = 0
-    while mask:
-        if mask & 1:
-            lowest = min(lowest, q)
-        mask >>= 1
-        q += 1
-    return (1 << (n - 1 - lowest)) < slice_amps if lowest < n else True
-
-
-def _apply_cluster_slice(
-    amps: np.ndarray, cluster: GateCluster, n: int, base: int, slice_amps: int
-) -> None:
-    if cluster.kind is ClusterKind.DIAGONAL:
-        apply_diagonal_cluster(amps, cluster, n, base)
-        return
-    u = gate_matrix(cluster.gates[0])
-    mask = cluster.qubit_mask
-    q = 0
-    while mask:
-        if mask & 1:
-            _mat1_on_range(amps, u, n - 1 - q)
-        mask >>= 1
-        q += 1
-
-
-def run_full(
-    circuit: Circuit,
-    slice_bytes: int = DEFAULT_SLICE_BYTES,
-    mem_limit: int | None = None,
-) -> StateBlock:
-    """Simulate the full circuit from |0...0>, streaming cache-sized slices.
-
-    Consecutive slice-local clusters are fused: each slice passes through
-    the whole run before the next slice is touched.  The result does not
-    depend on slice_bytes.
-    """
+def run_full(circuit: Circuit, mem_limit: int | None = None) -> StateBlock:
+    """Simulate the full circuit from |0...0>, one gate at a time, as a
+    one-row array in which every qubit sits at its own position."""
     n = circuit.n_qubits
     required = (2**n) * np.dtype(DTYPE).itemsize
     if mem_limit is not None and required > mem_limit:
@@ -345,24 +270,9 @@ def run_full(
             f"state of {n} qubits requires {required} bytes, budget is {mem_limit}"
         )
     state = StateBlock.zero_state(n)
-    clusters = cluster_gates(circuit)
-    slice_amps = 1 << max(1, (slice_bytes // np.dtype(DTYPE).itemsize).bit_length() - 1)
-    slice_amps = min(slice_amps, len(state.amps))
-
-    i = 0
-    while i < len(clusters):
-        if _slice_local(clusters[i], n, slice_amps):
-            j = i
-            while j < len(clusters) and _slice_local(clusters[j], n, slice_amps):
-                j += 1
-            for base in range(0, len(state.amps), slice_amps):
-                chunk = state.amps[base : base + slice_amps]
-                for cl in clusters[i:j]:
-                    _apply_cluster_slice(chunk, cl, n, base, slice_amps)
-            i = j
-        else:
-            apply_cluster(state, clusters[i])
-            i += 1
+    blocks, n_blk, identity = [state.amps.reshape(1, -1)], (n,), range(n)
+    for gate in circuit.gates:
+        apply_op(lower_gate(gate, 0, identity), blocks, n_blk)
     return state
 
 

@@ -182,7 +182,7 @@ class RoundResult:
     passed: bool
     f_e: float
     f1: float  # requested secret fidelity
-    f1_realized: float  # retained fraction of the verifier state; the pass anchor
+    f1_realized: float  # retained prefix fraction (not the state's norm); the pass anchor
     delta: float
 
 

@@ -12,6 +12,7 @@ from gridsim.circuit import (
     gate_matrix,
     parse_circuit,
 )
+from gridsim import pathsum
 from gridsim.pathsum import (
     estimate_fidelity,
     make_plan,
@@ -204,6 +205,17 @@ class TestPathSums:
         for pfx in plan.retained[::-1]:
             backward.amps += run_batched(circuit_3x3_d12, plan, idx, prefixes=[pfx]).amps
         np.testing.assert_allclose(forward.amps, backward.amps, rtol=1e-10, atol=1e-14)
+
+    def test_row_chunks_do_not_change_amplitudes(self, monkeypatch, circuit_4x4_d16):
+        plan = make_plan(circuit_4x4_d16, fidelity=0.5, x_b=2, seed=3)
+        idx = np.unique(np.random.default_rng(1).integers(0, 1 << 16, size=256))
+        whole = run_batched(circuit_4x4_d16, plan, idx)
+        rows = 7  # an uneven last chunk
+        row_bytes = 8 * ((1 << plan.cut.n_a) + (1 << plan.cut.n_b))
+        monkeypatch.setattr(pathsum, "_ROW_BYTES_CAP", rows * row_bytes)
+        assert plan.x_b > 0 and -(-len(plan.retained) // rows) >= 3
+        chunked = run_batched(circuit_4x4_d16, plan, idx)
+        np.testing.assert_allclose(chunked.amps, whole.amps, atol=1e-6)
 
     def test_shallow_paths_carry_near_equal_norms(self):
         # a depth-8 window keeps every cut gate's two projector branches

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import assert_states_close
 from gridsim.benchgen import GenSpec, generate
-from gridsim.circuit import Circuit, parse_circuit
+from gridsim.circuit import Circuit, GateKind, parse_circuit
 from gridsim.statevec import (
     ClusterKind,
     MemoryBudgetError,
@@ -79,28 +79,40 @@ class TestClusters:
         text = "4\n0 cz 0 1\n1 cz 0 1\n"
         assert cluster_gates(parse_circuit(text, rows=2, cols=2)) == []
 
-    def test_clustered_engine_matches_naive_on_many_small_circuits(self):
+
+class TestRunFull:
+    @pytest.mark.parametrize("two_qubit", [GateKind.CZ, GateKind.ISWAP], ids=["CZ", "ISWAP"])
+    def test_engine_matches_naive_on_many_small_circuits(self, two_qubit):
         rng = np.random.default_rng(10)
         shapes = [(2, 3), (2, 4), (3, 3), (2, 5)]
         for trial in range(1000):
             rows, cols = shapes[rng.integers(len(shapes))]
             depth = int(rng.integers(3, 13))
             version = "v1" if trial % 2 else "v2"
-            circ = generate(GenSpec(rows, cols, depth, version, seed=int(rng.integers(1 << 30))))
+            spec = GenSpec(rows, cols, depth, version, two_qubit, seed=int(rng.integers(1 << 30)))
+            circ = generate(spec)
             got = run_full(circ).amps.astype(np.complex128)
             assert_states_close(got, naive_state(circ), 1e-5)
 
+    def test_descending_two_qubit_gates_match_naive(self):
+        # the generator lists every pair in ascending order; here each
+        # two-qubit kind names its higher qubit first
+        z = np.random.default_rng(7).normal(size=(2, 4, 4))
+        u, _ = np.linalg.qr(z[0] + 1j * z[1])
+        entries = " ".join(f"{v.real:.17g} {v.imag:.17g}" for v in u.ravel())
+        text = (
+            "6\n"
+            + "".join(f"0 h {q}\n" for q in range(6))
+            + "1 is 4 1\n1 t 0\n2 cz 2 1\n2 x_1_2 4\n"
+            + f"3 g2 5 4 {entries}\n3 y_1_2 1\n4 is 1 0\n"
+        )
+        circ = parse_circuit(text, rows=2, cols=3)
+        assert_states_close(run_full(circ).amps, naive_state(circ), 1e-5)
 
-class TestRunFull:
     def test_matches_naive_at_25_qubits(self):
         circ = generate(GenSpec(5, 5, 10, "v2", seed=0))
         state = run_full(circ)
         assert_states_close(state.amps, naive_state(circ), 1e-5)
-
-    def test_slice_size_does_not_change_results(self, circuit_3x3_d12):
-        a = run_full(circuit_3x3_d12)
-        b = run_full(circuit_3x3_d12, slice_bytes=1 << 10)
-        np.testing.assert_array_equal(a.amps, b.amps)
 
     def test_norm_conserved(self, circuit_4x4_d16):
         amps = run_full(circuit_4x4_d16).amps
