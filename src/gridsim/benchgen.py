@@ -10,6 +10,7 @@ and vertical two-qubit layers.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,9 +23,12 @@ from .circuit import (
     GateKind,
     ONE_QUBIT_KINDS,
     TWO_QUBIT_KINDS,
+    all_cuts,
     choose_cut,
     count_cross_gates,
+    gate_block,
 )
+from .pathsum import schmidt_decompose
 
 _FILL_GATES = (GateKind.T, GateKind.X_HALF, GateKind.Y_HALF)
 
@@ -206,16 +210,6 @@ class HardnessReport:
         return d
 
 
-def _term_count(kind: GateKind, gate: Gate) -> int:
-    if kind is GateKind.CZ:
-        return 2
-    if kind is GateKind.ISWAP:
-        return 4
-    from .pathsum import schmidt_decompose
-
-    return schmidt_decompose(gate).rank
-
-
 def audit(circuit: Circuit, cut: Cut | None = None) -> HardnessReport:
     """Measure the hardness-relevant structure of a circuit.
 
@@ -223,8 +217,6 @@ def audit(circuit: Circuit, cut: Cut | None = None) -> HardnessReport:
     the chosen (or given) cut with its cross-gate count and path-space
     size, and violations of the no-repeat rule for one-qubit fills.
     """
-    from .circuit import all_cuts, gate_block
-
     n = circuit.n_qubits
     cycles = circuit.n_cycles
     occupancy: dict[tuple[int, int], GateKind] = {}
@@ -259,9 +251,7 @@ def audit(circuit: Circuit, cut: Cut | None = None) -> HardnessReport:
 
     chosen = cut if cut is not None else choose_cut(circuit)
     cross = [g for g in circuit.gates if len(g.qubits) == 2 and gate_block(g, chosen) == "cross"]
-    space = 1
-    for g in cross:
-        space *= _term_count(g.kind, g)
+    space = math.prod(schmidt_decompose(g).rank for g in cross)
     per_cut = [
         (c.orientation, c.position, count_cross_gates(circuit, c)) for c in all_cuts(circuit)
     ]

@@ -26,8 +26,7 @@ from .sampler import (
     SamplingError,
     committed_indices,
     porter_thomas_fit,
-    sample_basic,
-    sample_frugal,
+    sample,
 )
 from .statevec import (
     MemoryBudgetError,
@@ -96,6 +95,17 @@ def _add_plan_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="retained-path seed")
 
 
+def _make_plan(args, circuit: Circuit, workers: int = 1):
+    return make_plan(
+        circuit,
+        fidelity=args.fidelity,
+        x_p=args.xp,
+        x_b=args.xb,
+        seed=args.seed,
+        workers=workers,
+    )
+
+
 def _cmd_generate(args) -> int:
     spec = GenSpec(
         rows=args.rows,
@@ -156,7 +166,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_pathsim(args) -> int:
     circuit = _read_circuit(args.circuit, args.rows, args.cols)
     indices = _default_indices(circuit, args.amps)
-    plan = make_plan(circuit, fidelity=args.fidelity, x_p=args.xp, x_b=args.xb, seed=args.seed)
+    plan = _make_plan(args, circuit)
     batch = run_approx(circuit, plan, indices)
     _emit_batch(args.out, batch, circuit, args.digits, plan)
     return 0
@@ -164,14 +174,7 @@ def _cmd_pathsim(args) -> int:
 
 def _cmd_plan(args) -> int:
     circuit = _read_circuit(args.circuit, args.rows, args.cols)
-    plan = make_plan(
-        circuit,
-        fidelity=args.fidelity,
-        x_p=args.xp,
-        x_b=args.xb,
-        seed=args.seed,
-        workers=args.workers,
-    )
+    plan = _make_plan(args, circuit, workers=args.workers)
     info = {
         "circuit": circuit_hash(circuit),
         "n_qubits": circuit.n_qubits,
@@ -247,7 +250,7 @@ def _cmd_sample(args) -> int:
     )
     idx = committed_indices(req)
     probs = probs_by_index[idx]
-    drawn = sample_frugal(req, idx, probs) if args.mode == "frugal" else sample_basic(req, idx, probs)
+    drawn = sample(req, idx, probs)
     out = sys.stdout if args.out in (None, "-") else open(args.out, "w")
     try:
         for bits in drawn.bitstrings:
@@ -269,7 +272,7 @@ def _cmd_sample(args) -> int:
 def _cmd_merge(args) -> int:
     circuit = _read_circuit(args.circuit, args.rows, args.cols)
     indices = _default_indices(circuit, args.amps)
-    plan = make_plan(circuit, fidelity=args.fidelity, x_p=args.xp, x_b=args.xb, seed=args.seed)
+    plan = _make_plan(args, circuit)
     batch = merge(circuit, plan, indices, args.shard_dir)
     _emit_batch(args.out, batch, circuit, args.digits, plan)
     return 0
@@ -278,14 +281,7 @@ def _cmd_merge(args) -> int:
 def _cmd_campaign(args) -> int:
     circuit = _read_circuit(args.circuit, args.rows, args.cols)
     indices = _default_indices(circuit, args.amps)
-    plan = make_plan(
-        circuit,
-        fidelity=args.fidelity,
-        x_p=args.xp,
-        x_b=args.xb,
-        seed=args.seed,
-        workers=args.workers,
-    )
+    plan = _make_plan(args, circuit, workers=args.workers)
     if args.action == "status":
         st = status(circuit, plan, indices, args.dir)
         print(f"plan {st.plan_hash}: {len(st.done)}/{st.total} shards done, "

@@ -10,6 +10,9 @@ every branch completion.  Fidelity-controlled truncation keeps a seeded
 uniform subset of prefixes: retaining a fraction f of the path space
 yields a state whose squared norm, and whose fidelity against the exact
 state, are both close to f for chaotic circuits.
+
+`seeded_subset` is the one selector of seeded distinct ids: it picks the
+retained prefixes here and the verifier's challenge indices in validate.
 """
 from __future__ import annotations
 
@@ -34,7 +37,6 @@ from .statevec import (
     DTYPE,
     _b_diag1,
     _b_mat1,
-    _one_qubit_op,
     apply_op,
     lower_gate,
 )
@@ -155,53 +157,31 @@ def _lower_uncached(circuit: Circuit, cut: Cut):
     pos_a = {q: i for i, q in enumerate(cut.block_a)}
     pos_b = {q: i for i, q in enumerate(cut.block_b)}
     ops: list[tuple] = []
-    cross: list[dict] = []
+    cross: list[tuple] = []  # per cross gate, its term tables for blocks a and b
     for g in circuit.gates:
         side = gate_block(g, cut)
         if side == "cross":
-            k = len(cross)
             q_first, q_second = g.qubits
             first_in_a = q_first in pos_a
             local_a = pos_a[q_first] if first_in_a else pos_a[q_second]
             local_b = pos_b[q_second] if first_in_a else pos_b[q_first]
-            dec = schmidt_decompose(g)
-            terms = []
-            for l_op, r_op in dec.terms:
-                op_a, op_b = (l_op, r_op) if first_in_a else (r_op, l_op)
-                terms.append((_one_qubit_op(op_a, 0, local_a), _one_qubit_op(op_b, 1, local_b)))
-            cross.append({"cycle": g.cycle, "terms": terms, "rank": dec.rank})
-            ops.append(("cross", k))
+            left, right = zip(*schmidt_decompose(g).terms)
+            mats_a, mats_b = (left, right) if first_in_a else (right, left)
+            ops.append(("cross", len(cross)))
+            cross.append((_term_table(local_a, mats_a), _term_table(local_b, mats_b)))
             continue
         blk, pos = (0, pos_a) if side == "a" else (1, pos_b)
         ops.append(lower_gate(g, blk, pos))
     return ops, cross
 
 
-def path_digits(path_id: int, radices: tuple[int, ...]) -> tuple[int, ...]:
-    """Big-endian mixed-radix digits of a path id; digit k picks a term for cross gate k."""
-    digits = []
-    for base in reversed(radices):
-        digits.append(path_id % base)
-        path_id //= base
-    if path_id:
-        raise ValueError("path id outside the path space")
-    return tuple(reversed(digits))
-
-
-def path_id(digits, radices: tuple[int, ...]) -> int:
-    value = 0
-    for d, base in zip(digits, radices):
-        if not 0 <= d < base:
-            raise ValueError(f"digit {d} outside radix {base}")
-        value = value * base + d
-    return value
-
-
-def _space(radices) -> int:
-    out = 1
-    for b in radices:
-        out *= b
-    return out
+def _term_table(q: int, mats) -> tuple[int, np.ndarray, bool]:
+    # per-digit operator stack for one side of one cross gate:
+    # (local qubit, (rank, 2) diag stack or (rank, 2, 2) matrix stack, is_diag)
+    stack = np.stack(mats)
+    if not np.any(stack[:, 0, 1]) and not np.any(stack[:, 1, 0]):
+        return q, stack.diagonal(axis1=1, axis2=2).astype(DTYPE), True
+    return q, stack.astype(DTYPE), False
 
 
 @dataclass
@@ -224,32 +204,51 @@ class SimPlan:
 
     @property
     def prefix_space(self) -> int:
-        return _space(self.radices[: self.x_p])
+        return math.prod(self.radices[: self.x_p])
 
     @property
     def branch_space(self) -> int:
-        return _space(self.radices[self.x_p :])
+        return math.prod(self.radices[self.x_p :])
 
     @property
     def path_space(self) -> int:
-        return _space(self.radices)
+        return math.prod(self.radices)
+
+
+_ID_LIMIT = 1 << 63  # ids are int64, so a space holds at most 2^63 of them
+
+
+def seeded_subset(space: int, m: int, seed: int) -> np.ndarray:
+    """The m distinct ids of [0, space) that `seed` picks, sorted.
+
+    All of them when m == space; numpy's permutation sampler above a
+    quarter of the space; otherwise uniform draws, redrawing the shortfall
+    until m distinct ids are kept.
+    """
+    rng = np.random.default_rng(seed)
+    if m == space:
+        return np.arange(space, dtype=np.int64)
+    if m > space // 4:
+        return np.sort(rng.choice(space, size=m, replace=False).astype(np.int64))
+    kept = np.empty(0, dtype=np.int64)
+    while kept.size < m:
+        ids = np.concatenate([kept, rng.integers(0, space, size=m - kept.size)])
+        ids.sort()
+        kept = ids[np.concatenate(([True], ids[1:] != ids[:-1]))]
+    return kept
 
 
 def retained_prefixes(prefix_space: int, fidelity: float, seed: int) -> np.ndarray:
     """Seeded uniform sample of max(1, round(f * prefix_space)) distinct prefixes."""
+    if prefix_space > _ID_LIMIT:
+        raise CircuitError(
+            f"prefix space {prefix_space} exceeds the int64 id limit 2^63; "
+            "choose a split with fewer prefix digits"
+        )
     m = max(1, round(fidelity * prefix_space))
     if m > prefix_space:
         raise CircuitError(f"cannot retain {m} of {prefix_space} prefixes")
-    rng = np.random.default_rng(seed)
-    if m == prefix_space:
-        return np.arange(prefix_space, dtype=np.int64)
-    if m > prefix_space // 4:
-        return np.sort(rng.choice(prefix_space, size=m, replace=False).astype(np.int64))
-    seen: set[int] = set()
-    while len(seen) < m:
-        draw = rng.integers(0, prefix_space, size=m - len(seen))
-        seen.update(int(v) for v in draw)
-    return np.array(sorted(seen), dtype=np.int64)
+    return seeded_subset(prefix_space, m, seed)
 
 
 def make_plan(
@@ -275,7 +274,7 @@ def make_plan(
     radices = tuple(schmidt_decompose(g).rank for g in cross)
     x = len(radices)
     if x_p is None and x_b is None:
-        x_b = _default_branch_digits(circuit, cut, cross, workers)
+        x_b = _default_branch_digits(circuit, cut, cross, radices, workers)
         x_p = x - x_b
     elif x_p is None:
         x_p = x - x_b
@@ -286,18 +285,18 @@ def make_plan(
     n_cycles = circuit.n_cycles
     d_p = cross[x_p].cycle if x_b > 0 else n_cycles
     d_b = n_cycles - d_p
-    retained = retained_prefixes(_space(radices[:x_p]), fidelity, seed)
+    retained = retained_prefixes(math.prod(radices[:x_p]), fidelity, seed)
     return SimPlan(cut, fidelity, radices, x_p, x_b, d_p, d_b, seed, retained)
 
 
-def _default_branch_digits(circuit, cut, cross, workers) -> int:
+def _default_branch_digits(circuit, cut, cross, radices, workers) -> int:
     x = len(cross)
     cap = x - max(0, math.ceil(math.log2(workers))) if workers > 1 else x
     cap = max(0, cap)
     copy_cost = (1 << cut.n_a) + (1 << cut.n_b)
     n_cycles = circuit.n_cycles
     for x_b in range(0, cap + 1):
-        branches = _space([schmidt_decompose(g).rank for g in cross[x - x_b :]])
+        branches = math.prod(radices[x - x_b :])
         d_b = n_cycles - (cross[x - x_b].cycle if x_b > 0 else n_cycles)
         work = branches * max(1, d_b) * copy_cost
         if work >= 32 * copy_cost:
@@ -320,27 +319,6 @@ def run_approx(circuit: Circuit, plan: SimPlan, requests) -> AmplitudeBatch:
 # statevec's kernels advance them; only a cross gate's term varies by row.
 
 
-def _term_table(term_ops) -> tuple[int, np.ndarray, bool]:
-    # per-digit operator stack for one side of one cross gate:
-    # (local qubit, (rank, 2) diag stack or (rank, 2, 2) matrix stack, is_diag)
-    q = term_ops[0][2]
-    if all(t[0] == "diag1" for t in term_ops):
-        return q, np.stack([t[3] for t in term_ops]).astype(DTYPE), True
-    mats = [np.diag(t[3]) if t[0] == "diag1" else t[3] for t in term_ops]
-    return q, np.stack(mats).astype(DTYPE), False
-
-
-def _cross_tables(entry: dict):
-    cached = entry.get("batched")
-    if cached is None:
-        cached = (
-            _term_table([t[0] for t in entry["terms"]]),
-            _term_table([t[1] for t in entry["terms"]]),
-        )
-        entry["batched"] = cached
-    return cached
-
-
 def _exec_ops_batched(ops, blocks, n_blk, digits, cross) -> None:
     """Run lowered ops on (rows, amps) arrays; digits maps cross index ->
     scalar term digit or a per-row digit column."""
@@ -349,7 +327,7 @@ def _exec_ops_batched(ops, blocks, n_blk, digits, cross) -> None:
             apply_op(op, blocks, n_blk)
         else:
             dk = digits[op[1]]
-            for blk, (q, table, diag) in zip((0, 1), _cross_tables(cross[op[1]])):
+            for blk, (q, table, diag) in zip((0, 1), cross[op[1]]):
                 sel = table[dk]
                 if diag:
                     _b_diag1(blocks[blk], n_blk[blk], q, sel)
@@ -357,14 +335,15 @@ def _exec_ops_batched(ops, blocks, n_blk, digits, cross) -> None:
                     _b_mat1(blocks[blk], n_blk[blk], q, sel)
 
 
-def _digit_columns(prefixes: np.ndarray, radices) -> dict:
+def _digit_columns(ids: np.ndarray, radices) -> dict:
+    """Big-endian mixed-radix digits of ids: column k picks a term for cross gate k."""
     cols = {}
-    ids = prefixes.astype(np.int64).copy()
+    ids = ids.astype(np.int64)
     for k in range(len(radices) - 1, -1, -1):
         cols[k] = ids % radices[k]
         ids //= radices[k]
     if np.any(ids):
-        raise ValueError("prefix id outside the prefix space")
+        raise ValueError("id outside the mixed-radix space")
     return cols
 
 
@@ -403,7 +382,7 @@ def run_batched(
     acc = None if use_joint else np.zeros(n_req, dtype=ACC_DTYPE)
     row_cap = max(1, _ROW_BYTES_CAP // (8 * (na + nb)))
     n_blk = (cut.n_a, cut.n_b)
-    branch_radices = plan.radices[x_p:]
+    branch_digits = _digit_columns(np.arange(plan.branch_space), plan.radices[x_p:])
 
     def land(blocks):
         if use_joint:
@@ -431,8 +410,8 @@ def run_batched(
         checkpoint = [blocks[0].copy(), blocks[1].copy()]
         for branch in range(plan.branch_space):
             work = blocks if branch == 0 else [c.copy() for c in checkpoint]
-            for k, d in enumerate(path_digits(branch, branch_radices)):
-                digits[x_p + k] = d
+            for k, col in branch_digits.items():
+                digits[x_p + k] = col[branch]
             _exec_ops_batched(ops[split_at:], work, n_blk, digits, cross)
             land(work)
 

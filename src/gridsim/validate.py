@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuit import Circuit, Cut, all_cuts, circuit_hash, count_cross_gates
-from .pathsum import estimate_fidelity, make_plan, run_approx
+from .pathsum import estimate_fidelity, make_plan, run_approx, seeded_subset
 from .statevec import AmplitudeBatch, fetch_amplitudes, run_full
 
 DEFAULT_F1_BAND = (0.05, 0.25)
@@ -74,16 +74,7 @@ def challenge_indices(n_qubits: int, k: int, index_seed: int) -> np.ndarray:
     n_states = 1 << n_qubits
     if k > n_states:
         raise ValidationError(f"cannot pick {k} distinct indices from {n_states} states")
-    rng = np.random.default_rng(index_seed)
-    if k == n_states:
-        return np.arange(n_states, dtype=np.int64)
-    if k > n_states // 4 and n_states <= (1 << 24):
-        return np.sort(rng.choice(n_states, size=k, replace=False).astype(np.int64))
-    seen: set[int] = set()
-    while len(seen) < k:
-        draw = rng.integers(0, n_states, size=k - len(seen))
-        seen.update(int(v) for v in draw)
-    return np.array(sorted(seen), dtype=np.int64)
+    return seeded_subset(n_states, k, index_seed)
 
 
 def issue_challenge(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gridsim.cli import main
+from gridsim.sampler import SampleRequest, committed_indices, sample_basic
 from gridsim.statevec import read_amplitudes
 
 
@@ -121,6 +122,22 @@ class TestSample:
         assert all(len(l) == 9 and set(l) <= {"0", "1"} for l in lines)
         assert summary["tail_mass"] >= 0.0
         assert 60 <= summary["accepted_count"] <= 500
+
+    def test_basic_mode_runs_the_basic_sampler(self, circuit_file, tmp_path, capsys):
+        amp_file = tmp_path / "state.amp"
+        run_ok(["simulate", str(circuit_file), "-o", str(amp_file), "--digits", "12"])
+        out = tmp_path / "bits.txt"
+        run_ok(["sample", "--amps", str(amp_file), "--count", "50", "--mode", "basic",
+                "--seed", "3", "-o", str(out)])
+        batch, _ = read_amplitudes(amp_file)
+        probs = np.zeros(1 << 9)
+        probs[batch.indices] = np.abs(batch.amps) ** 2
+        probs /= probs.sum()
+        req = SampleRequest(9, 50, mode="basic", seed=3)
+        idx = committed_indices(req)
+        want = sample_basic(req, idx, probs[idx])
+        assert want.accepted_count > 0
+        assert out.read_text().splitlines() == list(want.bitstrings)
 
     def test_truncated_amplitudes_sample_their_own_distribution(self, tmp_path, capsys):
         circ = tmp_path / "circ.txt"

@@ -1,7 +1,11 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import assert_states_close
+from oracles import naive_state
 from gridsim.benchgen import GenSpec, generate
 from gridsim.circuit import (
     CircuitError,
@@ -16,8 +20,6 @@ from gridsim import pathsum
 from gridsim.pathsum import (
     estimate_fidelity,
     make_plan,
-    path_digits,
-    path_id,
     retained_prefixes,
     run_approx,
     run_batched,
@@ -25,6 +27,7 @@ from gridsim.pathsum import (
     split_requests,
 )
 from gridsim.statevec import AmplitudeBatch, fetch_amplitudes, run_full
+from gridsim.validate import challenge_indices
 
 
 def reconstruct(terms):
@@ -109,6 +112,58 @@ class TestRetainedPrefixes:
         assert not np.array_equal(a, retained_prefixes(512, 0.2, seed=4))
 
 
+def _set_subset(space, m, seed):
+    # the selector deduplicating through a Python set: the reference.
+    # Returns the ids and how many shortfall redraws it took.
+    rng = np.random.default_rng(seed)
+    if m == space:
+        return np.arange(space, dtype=np.int64), 0
+    if m > space // 4:
+        return np.sort(rng.choice(space, size=m, replace=False).astype(np.int64)), 0
+    seen, draws = set(), 0
+    while len(seen) < m:
+        draw = rng.integers(0, space, size=m - len(seen))
+        seen.update(int(v) for v in draw)
+        draws += 1
+    return np.array(sorted(seen), dtype=np.int64), draws - 1
+
+
+class TestSeededSubset:
+    # (space, fidelity, seed) covering all three branches; (4096, 0.25, 7)
+    # keeps redrawing its shortfall
+    PREFIX_CASES = [(64, 1.0, 0), (4096, 0.3, 11), (4096, 0.25, 7), (1 << 20, 0.01, 3), (8, 0.01, 2)]
+    # (n_qubits, k, seed)
+    CHALLENGE_CASES = [(6, 64, 3), (12, 1500, 5), (12, 1024, 1), (20, 100000, 7)]
+
+    def test_cases_reach_every_branch(self):
+        space, f, seed = 4096, 0.25, 7
+        assert _set_subset(space, round(f * space), seed)[1] >= 2
+        kept = [(round(fr * sp), sp) for sp, fr, _ in self.PREFIX_CASES]
+        assert any(m == sp for m, sp in kept)
+        assert any(sp // 4 < m < sp for m, sp in kept)
+
+    def test_retained_prefixes_match_the_set_reference(self):
+        for space, f, seed in self.PREFIX_CASES:
+            want, _ = _set_subset(space, max(1, round(f * space)), seed)
+            np.testing.assert_array_equal(retained_prefixes(space, f, seed), want)
+
+    def test_challenge_indices_match_the_set_reference(self):
+        for n, k, seed in self.CHALLENGE_CASES:
+            want, _ = _set_subset(1 << n, k, seed)
+            np.testing.assert_array_equal(challenge_indices(n, k, seed), want)
+
+    def test_memory_stays_near_the_kept_ids(self):
+        # 1,342,177 of 2^28: the ids are 10.7 MB; a set of ints took 145 MB
+        tracemalloc.start()
+        try:
+            got = retained_prefixes(1 << 28, 0.005, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.size == 1342177
+        assert peak < 64 * 2**20
+
+
 class TestPlan:
     def test_cz_circuit_has_binary_radices(self, circuit_4x4_d16):
         plan = make_plan(circuit_4x4_d16, x_b=0)
@@ -137,10 +192,20 @@ class TestPlan:
         with pytest.raises(CircuitError):
             make_plan(circuit_4x4_d16, fidelity=1.5)
 
-    def test_path_id_digit_round_trip(self):
-        radices = (2, 4, 2, 4)
-        for pid in range(2 * 4 * 2 * 4):
-            assert path_id(path_digits(pid, radices), radices) == pid
+    def test_prefix_space_past_int64_is_a_named_error(self):
+        circ = generate(GenSpec(7, 7, 40, "v2", seed=0, two_qubit=GateKind.ISWAP))
+        with pytest.raises(CircuitError, match=r"prefix space 7378\d+ exceeds the int64 id limit"):
+            make_plan(circ, fidelity=0.005)
+
+    def test_digit_columns_are_big_endian(self):
+        for radices in ((2,), (2, 4, 2, 4), (4, 2, 3)):
+            ids = np.arange(math.prod(radices))
+            cols = pathsum._digit_columns(ids, radices)
+            for k, want in enumerate(np.unravel_index(ids, radices)):
+                np.testing.assert_array_equal(cols[k], want)
+        for bad in (-1, 64):
+            with pytest.raises(ValueError):
+                pathsum._digit_columns(np.array([bad]), (2, 4, 2, 4))
 
 
 class TestSplitRequests:
@@ -176,6 +241,26 @@ class TestTwoQubitPaths:
 
 
 class TestPathSums:
+    def test_descending_cross_gates_match_naive(self):
+        # g2 and is cross the h cut in both qubit orders
+        z = np.random.default_rng(7).normal(size=(2, 4, 4))
+        u, _ = np.linalg.qr(z[0] + 1j * z[1])
+        entries = " ".join(f"{v.real:.17g} {v.imag:.17g}" for v in u.ravel())
+        text = (
+            "6\n"
+            + "".join(f"0 h {q}\n" for q in range(6))
+            + f"1 is 4 1\n1 g2 2 5 {entries}\n1 t 0\n2 cz 1 0\n2 x_1_2 4\n"
+            + f"3 g2 3 0 {entries}\n3 is 2 5\n3 y_1_2 1\n4 is 1 4\n5 cz 4 3\n"
+        )
+        circ = parse_circuit(text, rows=2, cols=3)
+        cut = next(c for c in all_cuts(circ) if c.block_a == (0, 1, 2))
+        idx = np.arange(1 << circ.n_qubits, dtype=np.int64)
+        for x_b in (0, 2):
+            plan = make_plan(circ, x_b=x_b, cut=cut)
+            assert plan.x == 5
+            got = run_approx(circ, plan, idx)
+            assert_states_close(got.amps, naive_state(circ), 1e-5)
+
     def test_full_fidelity_matches_statevec(self):
         for rows, cols, d, ver in ((3, 4, 14, "v2"), (3, 4, 14, "v1"), (4, 4, 12, "v2")):
             circ = generate(GenSpec(rows, cols, d, ver, seed=6))
