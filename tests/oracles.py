@@ -13,27 +13,31 @@ def naive_state(circuit: Circuit) -> np.ndarray:
     """Replay a circuit gate by gate on a dense complex128 state.
 
     Qubit q lives on tensor axis q, so basis index bit (n-1-q) belongs to
-    qubit q, matching the packed layout used everywhere else.
+    qubit q, matching the packed layout used everywhere else.  Each gate
+    writes the next state into the other of two preallocated buffers.
     """
     n = circuit.n_qubits
     state = np.zeros(1 << n, dtype=np.complex128)
     state[0] = 1.0
+    spare = np.empty_like(state)
     for gate in sorted(circuit.gates, key=lambda g: g.cycle):
         mat = gate_matrix(gate)
         if len(gate.qubits) == 1:
-            state = _apply_1q(state, mat, gate.qubits[0], n)
+            _apply_1q(state, mat, gate.qubits[0], n, spare)
         else:
-            state = _apply_2q(state, mat, gate.qubits[0], gate.qubits[1], n)
+            _apply_2q(state, mat, gate.qubits[0], gate.qubits[1], n, spare)
+        state, spare = spare, state
     return state
 
 
-def _apply_1q(state: np.ndarray, mat: np.ndarray, q: int, n: int) -> np.ndarray:
+def _apply_1q(state: np.ndarray, mat: np.ndarray, q: int, n: int, out: np.ndarray) -> None:
     shaped = state.reshape(1 << q, 2, 1 << (n - q - 1))
-    out = np.einsum("ab,ibj->iaj", mat, shaped)
-    return out.reshape(-1)
+    np.einsum("ab,ibj->iaj", mat, shaped, out=out.reshape(shaped.shape))
 
 
-def _apply_2q(state: np.ndarray, mat: np.ndarray, q1: int, q2: int, n: int) -> np.ndarray:
+def _apply_2q(
+    state: np.ndarray, mat: np.ndarray, q1: int, q2: int, n: int, out: np.ndarray
+) -> None:
     if q1 > q2:
         # reorder qubits so the reshape below is valid; the matrix rows and
         # columns swap in tandem (bit pairs (a,c) and (b,d) both flip)
@@ -41,8 +45,7 @@ def _apply_2q(state: np.ndarray, mat: np.ndarray, q1: int, q2: int, n: int) -> n
         q1, q2 = q2, q1
     shaped = state.reshape(1 << q1, 2, 1 << (q2 - q1 - 1), 2, 1 << (n - q2 - 1))
     m4 = mat.reshape(2, 2, 2, 2)
-    out = np.einsum("acbd,ibjdk->iajck", m4, shaped)
-    return out.reshape(-1)
+    np.einsum("acbd,ibjdk->iajck", m4, shaped, out=out.reshape(shaped.shape))
 
 
 def naive_probs(circuit: Circuit) -> np.ndarray:

@@ -1,14 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import assert_states_close
 from gridsim.benchgen import GenSpec, generate
-from gridsim.circuit import Circuit, GateKind, parse_circuit
+from gridsim.circuit import Circuit, Gate, GateKind, gate_matrix, parse_circuit
 from gridsim.statevec import (
     ClusterKind,
     MemoryBudgetError,
+    _b_diag1,
+    _b_diag2,
+    _tile_op,
+    _tiles,
+    apply_op,
     cluster_gates,
     fetch_amplitudes,
+    lower_gate,
     read_amplitudes,
     run_full,
     write_amplitudes,
@@ -16,6 +24,31 @@ from gridsim.statevec import (
 from oracles import naive_state
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
+ONE_QUBIT = (GateKind.H, GateKind.T, GateKind.X_HALF, GateKind.Y_HALF)
+TWO_QUBIT = (GateKind.CZ, GateKind.ISWAP, GateKind.GENERIC_2Q)
+
+
+def _random_unitary(rng, dim):
+    z = rng.normal(size=(2, dim, dim))
+    u, _ = np.linalg.qr(z[0] + 1j * z[1])
+    return u
+
+
+def _random_gates(rng, qubits, pairs, count):
+    """count seeded gates, one per cycle: one-qubit kinds on qubits, and
+    CZ, iSWAP or a random g2 on pairs, each pair in a random order."""
+    gates = []
+    for cycle in range(count):
+        if rng.random() < 0.5:
+            kind = ONE_QUBIT[rng.integers(len(ONE_QUBIT))]
+            gates.append(Gate(cycle, kind, (int(rng.choice(qubits)),)))
+            continue
+        pair = pairs[rng.integers(len(pairs))]
+        pair = pair[::-1] if rng.random() < 0.5 else pair
+        kind = TWO_QUBIT[rng.integers(len(TWO_QUBIT))]
+        matrix = _random_unitary(rng, 4) if kind is GateKind.GENERIC_2Q else None
+        gates.append(Gate(cycle, kind, pair, matrix))
+    return gates
 
 
 class TestSingleGates:
@@ -109,10 +142,39 @@ class TestRunFull:
         circ = parse_circuit(text, rows=2, cols=3)
         assert_states_close(run_full(circ).amps, naive_state(circ), 1e-5)
 
+    @pytest.mark.parametrize(
+        "rows, cols", [(2, 3), (3, 3), (2, 5), (2, 7), (4, 4)], ids=["6", "9", "10", "14", "16"]
+    )
+    def test_gates_straddling_tiles_match_naive(self, rows, cols):
+        # 6 qubits fit one tile; 9, 10 and 16 are not multiples of the
+        # tile width.  Two-qubit gates join the qubits on either side of
+        # every tile boundary, the ends of one tile and the first and last
+        # qubits, so runs are flushed from both tiles a gate spans.
+        n = rows * cols
+        tiles = _tiles(n)
+        pairs = [(q0 - 1, q0) for q0, _ in tiles[1:]] + [(0, n - 1)]
+        pairs += [(q0, q0 + k - 1) for q0, k in tiles if k > 1]
+        gates = _random_gates(np.random.default_rng(n), np.arange(n), pairs, 40 * n)
+        circ = Circuit(rows, cols, gates)
+        assert_states_close(run_full(circ).amps, naive_state(circ), 1e-5)
+
     def test_matches_naive_at_25_qubits(self):
         circ = generate(GenSpec(5, 5, 10, "v2", seed=0))
         state = run_full(circ)
         assert_states_close(state.amps, naive_state(circ), 1e-5)
+
+    def test_peak_memory_beyond_the_state_is_small(self):
+        # fused tiles work in slices of about 1 MB; whole-state temporaries
+        # would add several MiB per gate at 20 qubits (an 8 MiB state)
+        circ = generate(GenSpec(4, 5, 16, "v2", seed=0))
+        tracemalloc.start()
+        try:
+            state = run_full(circ)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra = peak - state.amps.nbytes
+        assert extra < 8 << 20, f"run_full peaked {extra / 2**20:.1f} MiB above its state"
 
     def test_norm_conserved(self, circuit_4x4_d16):
         amps = run_full(circuit_4x4_d16).amps
@@ -133,6 +195,69 @@ class TestRunFull:
         # Porter-Thomas variance of the mean: p_bar / sqrt(k)
         sigma = (1.0 / (1 << 16)) / np.sqrt(picks.size)
         assert abs(mean - 1.0 / (1 << 16)) < 3 * sigma
+
+
+def _random_rows(rng, rows, nb):
+    z = rng.normal(size=(2, rows, 1 << nb))
+    return (z[0] + 1j * z[1]).astype(np.complex64) / np.float32(2 ** (nb / 2))
+
+
+class TestKernels:
+    @pytest.mark.parametrize(
+        "nb, q0, k, rows",
+        [(17, 12, 5, 2), (17, 10, 5, 2), (12, 2, 5, 3), (18, 0, 5, 1)],
+        ids=["none_below", "fewer_than_k_below", "k_or_more_below", "one_row_over_a_slice"],
+    )
+    def test_tile_equals_gate_by_gate(self, nb, q0, k, rows):
+        rng = np.random.default_rng(nb + q0)
+        tile = np.arange(q0, q0 + k)
+        pairs = [(int(a), int(b)) for a in tile for b in tile if a < b]
+        gates = _random_gates(rng, tile, pairs, 30)
+        arr = _random_rows(rng, rows, nb)
+        want = arr.copy()
+        for g in gates:
+            apply_op(lower_gate(g, 0, range(nb)), [want], (nb,))
+        apply_op(_tile_op(gates, q0, k), [arr], (nb,))
+        assert_states_close(arr, want, 1e-6)
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            np.diag(gate_matrix(Gate(0, GateKind.T, (0,)))),
+            np.array([1, 0]),
+            np.array([0, 1]),
+            np.array([1, 1]),
+            np.array([1, -1]),
+            np.array([1j, -1]),
+        ],
+        ids=["T", "P0", "P1", "I", "Z", "no_unit_entry"],
+    )
+    def test_diag1_equals_broadcast_multiply(self, d):
+        d = d.astype(np.complex64)
+        nb, rows = 6, 3
+        arr = _random_rows(np.random.default_rng(0), rows, nb)
+        for q in range(nb):
+            got = arr.copy()
+            _b_diag1(got, nb, q, d)
+            want = arr.reshape(rows, 1 << q, 2, -1) * d.reshape(1, 1, 2, 1)
+            assert np.array_equal(got, want.reshape(rows, -1))
+
+    @pytest.mark.parametrize(
+        "d4", [np.array([1, 1, 1, -1]), np.array([1, 1j, 1, -1])], ids=["CZ", "asymmetric"]
+    )
+    def test_diag2_equals_broadcast_multiply(self, d4):
+        d4 = d4.astype(np.complex64)
+        nb, rows = 6, 3
+        arr = _random_rows(np.random.default_rng(1), rows, nb)
+        bits = (np.arange(1 << nb)[:, None] >> (nb - 1 - np.arange(nb))) & 1
+        for qa in range(nb):
+            for qb in range(nb):
+                if qa == qb:
+                    continue
+                got = arr.copy()
+                _b_diag2(got, nb, qa, qb, d4)
+                want = arr * d4[2 * bits[:, qa] + bits[:, qb]]
+                assert np.array_equal(got, want), (qa, qb)
 
 
 class TestAmplitudeIO:
