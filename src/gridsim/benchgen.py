@@ -43,7 +43,6 @@ class GenSpec:
     version: str = "v2"
     two_qubit: GateKind = GateKind.CZ
     seed: int = 0
-    include_final_h: bool | None = None  # default: v2 yes, v1 no
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1 or self.rows * self.cols < 2:
@@ -54,12 +53,6 @@ class GenSpec:
             raise CircuitError(f"unknown version {self.version!r}")
         if self.two_qubit not in (GateKind.CZ, GateKind.ISWAP):
             raise CircuitError(f"two-qubit kind must be cz or is, got {self.two_qubit}")
-
-    @property
-    def final_h(self) -> bool:
-        if self.include_final_h is None:
-            return self.version == "v2"
-        return self.include_final_h
 
 
 def instance_filename(spec: GenSpec) -> str:
@@ -175,7 +168,7 @@ def generate(spec: GenSpec) -> Circuit:
                 last_cycle[q] = cycle
                 last_1q[q] = kind
 
-    if spec.final_h:
+    if spec.version == "v2":  # only v2 closes with a Hadamard layer
         final = spec.depth + 1
         gates += [Gate(final, GateKind.H, (q,)) for q in range(n)]
         label = f"1+{spec.depth}+1"

@@ -18,7 +18,7 @@ from .circuit import (
     parse_circuit,
     serialize_circuit,
 )
-from .costmodel import CostModelError, CostParams, forecast
+from .costmodel import CostModelError, CostParams, forecast, plan_digits
 from .orchestrator import SHARD_DIGITS, CampaignError, merge, run_campaign, status
 from .pathsum import make_plan, run_approx
 from .sampler import (
@@ -195,6 +195,7 @@ def _cmd_plan(args) -> int:
         with open(args.params) as f:
             raw = json.load(f)
         params = CostParams(C1=raw["C1"], C2=raw["C2"], C3=raw["C3"])
+        x_p, x_b = plan_digits(plan)
         fc = forecast(
             params,
             f=plan.fidelity,
@@ -202,8 +203,8 @@ def _cmd_plan(args) -> int:
             q2=plan.cut.n_b,
             d_p=plan.d_p,
             d_b=plan.d_b,
-            x_p=plan.x_p,
-            x_b=plan.x_b,
+            x_p=x_p,
+            x_b=x_b,
             n_a=args.n_a,
             p=args.procs,
             n_nodes=args.nodes,

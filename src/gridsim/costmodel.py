@@ -16,13 +16,18 @@ from a least-squares calibration against measured runs.
 Billable time divides total work across p processes per node under a
 contention factor omega(p); wallclock divides again by the node count.
 Memory per process is the working pair of block vectors (times a small
-copy multiplier for checkpoints) plus the amplitude collection buffer.
+copy multiplier for the per-branch copies) plus the amplitude collection
+buffer.
+
+The law is written in 2^x_p prefixes and 2^x_b branches. A plan whose
+cross gates have radix other than 2 (iSWAP has 4) enters it with x_p and
+x_b the log2 of its prefix and branch spaces.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -64,7 +69,7 @@ class CostParams:
     C1: float
     C2: float
     C3: float
-    C4: int = 2  # live + checkpoint block copies
+    C4: int = 2  # row tile + per-branch copy
     omega: dict = field(default_factory=lambda: dict(_DEFAULT_OMEGA))
     rate_card: dict = field(default_factory=load_rate_card)
     bytes_per_amplitude: int = 8
@@ -94,6 +99,20 @@ class CostParams:
         return float(np.interp(float(p), xs, ys))
 
 
+def work_terms(f, q1, q2, d_p, d_b, x_p, x_b, n_a) -> tuple[float, float, float]:
+    """The three terms of the work law, which C1, C1*C2 and C3 multiply:
+    prefix-phase gate work, branch-phase gate work and amplitude collection."""
+    w = q1 * 2.0**q1 + q2 * 2.0**q2
+    jobs = f * 2.0**x_p
+    return jobs * w * d_p, jobs * w * 2.0**x_b * d_b, 2.0 ** (x_p + x_b) * n_a
+
+
+def plan_digits(plan) -> tuple[float, float]:
+    """(x_p, x_b) of a plan as the law reads them: log2 of its prefix and
+    branch spaces, which equal its digit counts only when every radix is 2."""
+    return math.log2(plan.prefix_space), math.log2(plan.branch_space)
+
+
 @dataclass(frozen=True)
 class BenchResult:
     """One measured campaign-equivalent run for calibration."""
@@ -102,8 +121,8 @@ class BenchResult:
     q2: int
     d_p: int
     d_b: int
-    x_p: int
-    x_b: int
+    x_p: float  # log2 of the prefix space
+    x_b: float  # log2 of the branch space
     f: float
     n_a: int
     seconds: float
@@ -118,25 +137,14 @@ class BenchResult:
 
     @classmethod
     def from_plan(cls, plan, n_a: int, seconds: float) -> "BenchResult":
+        x_p, x_b = plan_digits(plan)
         return cls(
-            plan.cut.n_a,
-            plan.cut.n_b,
-            plan.d_p,
-            plan.d_b,
-            plan.x_p,
-            plan.x_b,
-            plan.fidelity,
-            n_a,
-            seconds,
+            plan.cut.n_a, plan.cut.n_b, plan.d_p, plan.d_b, x_p, x_b, plan.fidelity, n_a, seconds
         )
 
     def design_row(self) -> tuple[float, float, float]:
-        w = self.q1 * 2.0**self.q1 + self.q2 * 2.0**self.q2
-        jobs = self.f * 2.0**self.x_p
-        return (
-            jobs * w * self.d_p,
-            jobs * w * 2.0**self.x_b * self.d_b,
-            2.0 ** (self.x_p + self.x_b) * self.n_a,
+        return work_terms(
+            self.f, self.q1, self.q2, self.d_p, self.d_b, self.x_p, self.x_b, self.n_a
         )
 
 
@@ -147,7 +155,7 @@ class CalibrationReport:
     per_run: list  # relative residual per input run
 
 
-def calibrate(bench_results, template: CostParams | None = None) -> CalibrationReport:
+def calibrate(bench_results) -> CalibrationReport:
     """Fit C1, C2, C3 to measured runs.
 
     The model is linear in (C1, C1*C2, C3), so a relative-error weighted
@@ -169,8 +177,7 @@ def calibrate(bench_results, template: CostParams | None = None) -> CalibrationR
     c1, c1c2, c3 = (float(v) for v in coef)
     if c1 <= 0 or c1c2 < 0 or c3 < 0:
         raise CostModelError(f"fit produced non-physical constants {coef}")
-    base = template if template is not None else CostParams(1.0, 1.0, 1.0)
-    params = replace(base, C1=c1, C2=c1c2 / c1, C3=c3)
+    params = CostParams(C1=c1, C2=c1c2 / c1, C3=c3)
     pred = design @ coef
     rel = (pred - t) / t
     return CalibrationReport(params, float(np.sqrt(np.mean(rel**2))), [float(v) for v in rel])
@@ -205,10 +212,8 @@ def total_seconds(
         raise CostModelError(f"fidelity fraction must be in (0, 1], got {f}")
     if min(q1, q2) < 1 or min(d_p, d_b, x_p, x_b, n_a) < 0:
         raise CostModelError("dimensions must be nonnegative (blocks nonempty)")
-    w = q1 * 2.0**q1 + q2 * 2.0**q2
-    sim = params.C1 * f * 2.0**x_p * w * (d_p + params.C2 * 2.0**x_b * d_b)
-    collect = params.C3 * 2.0 ** (x_p + x_b) * n_a
-    return sim + collect
+    prefix_work, branch_work, collect = work_terms(f, q1, q2, d_p, d_b, x_p, x_b, n_a)
+    return params.C1 * (prefix_work + params.C2 * branch_work) + params.C3 * collect
 
 
 def forecast(

@@ -4,12 +4,13 @@ requested amplitudes over paths.
 
 A path assigns one decomposition term to each cross gate; its digits form
 a mixed-radix number ordered by cycle.  The first x_p digits are the
-prefix, the rest the branch.  A prefix job simulates both blocks up to
-the first branch gate, snapshots them once, and replays the snapshot for
-every branch completion.  Fidelity-controlled truncation keeps a seeded
-uniform subset of prefixes: retaining a fraction f of the path space
-yields a state whose squared norm, and whose fidelity against the exact
-state, are both close to f for chaotic circuits.
+prefix, the rest the branch.  Prefixes run in row tiles sized to
+statevec's slice budget: a tile simulates both blocks up to the first
+branch gate, and every branch completion works on its own copy of that
+tile.  Fidelity-controlled truncation keeps a seeded uniform subset of
+prefixes: retaining a fraction f of the path space yields a state whose
+squared norm, and whose fidelity against the exact state, are both close
+to f for chaotic circuits.
 
 `seeded_subset` is the one selector of seeded distinct ids: it picks the
 retained prefixes here and the verifier's challenge indices in validate.
@@ -31,6 +32,7 @@ from .circuit import (
     gate_block,
     gate_matrix,
 )
+from . import statevec
 from .statevec import (
     ACC_DTYPE,
     AmplitudeBatch,
@@ -263,8 +265,8 @@ def make_plan(
     """Build a SimPlan, choosing the cut and the prefix/branch split if unset.
 
     The default split takes the smallest branch region whose per-prefix
-    work covers the checkpoint copy about 32 times over, capped so at
-    least `workers` prefix jobs remain.
+    work covers the per-branch copy of its blocks about 32 times over,
+    capped so at least `workers` prefix jobs remain.
     """
     if not 0 < fidelity <= 1:
         raise CircuitError(f"fidelity must be in (0, 1], got {fidelity}")
@@ -347,9 +349,6 @@ def _digit_columns(ids: np.ndarray, radices) -> dict:
     return cols
 
 
-_ROW_BYTES_CAP = 1 << 27  # live batched rows capped near 128 MB
-
-
 def run_batched(
     circuit: Circuit,
     plan: SimPlan,
@@ -358,13 +357,13 @@ def run_batched(
 ) -> AmplitudeBatch:
     """Sum over every path through `prefixes` (default: the retained ones).
 
-    Each chunk of prefixes advances as two (rows, 2^q) arrays; cross-gate
-    digits select per-row one-qubit operators. A chunk runs up to the
-    first branch gate once and every branch completion replays that
-    checkpoint, so prefixes=[p] is the work of one campaign job. When the
-    request set covers
-    most of the joint space the two blocks are contracted with a matrix
-    product instead of per-request gathers.
+    Prefixes advance in row tiles, two (rows, 2^q) arrays sized so that
+    both fit statevec's slice budget; cross-gate digits select per-row
+    one-qubit operators. A tile runs up to the first branch gate once,
+    and each branch completion (a single one when x_b == 0) runs on a
+    fresh copy of it, so prefixes=[p] is the work of one campaign job.
+    When the request set covers most of the joint space the two blocks are
+    contracted with a matrix product instead of per-request gathers.
     """
     cut = plan.cut
     ops, cross = _lower(circuit, cut)
@@ -380,7 +379,7 @@ def run_batched(
     use_joint = n_req * 4 >= na * nb and na * nb <= (1 << 24)
     joint = np.zeros((na, nb), dtype=ACC_DTYPE) if use_joint else None
     acc = None if use_joint else np.zeros(n_req, dtype=ACC_DTYPE)
-    row_cap = max(1, _ROW_BYTES_CAP // (8 * (na + nb)))
+    tile_rows = max(1, statevec._SLICE_BYTES // (np.dtype(DTYPE).itemsize * (na + nb)))
     n_blk = (cut.n_a, cut.n_b)
     branch_digits = _digit_columns(np.arange(plan.branch_space), plan.radices[x_p:])
 
@@ -394,22 +393,15 @@ def run_batched(
             gb = blocks[1][s : s + step][:, idx_b]
             acc[:] += np.einsum("pi,pi->i", ga, gb, dtype=ACC_DTYPE)
 
-    for start in range(0, prefixes.size, row_cap):
-        chunk = prefixes[start : start + row_cap]
-        digits = _digit_columns(chunk, plan.radices[:x_p])
-        blocks = [
-            np.zeros((chunk.size, na), dtype=DTYPE),
-            np.zeros((chunk.size, nb), dtype=DTYPE),
-        ]
+    for start in range(0, prefixes.size, tile_rows):
+        tile = prefixes[start : start + tile_rows]
+        digits = _digit_columns(tile, plan.radices[:x_p])
+        blocks = [np.zeros((tile.size, n), dtype=DTYPE) for n in (na, nb)]
         blocks[0][:, 0] = 1.0
         blocks[1][:, 0] = 1.0
         _exec_ops_batched(ops[:split_at], blocks, n_blk, digits, cross)
-        if plan.x_b == 0:
-            land(blocks)
-            continue
-        checkpoint = [blocks[0].copy(), blocks[1].copy()]
         for branch in range(plan.branch_space):
-            work = blocks if branch == 0 else [c.copy() for c in checkpoint]
+            work = [b.copy() for b in blocks]
             for k, col in branch_digits.items():
                 digits[x_p + k] = col[branch]
             _exec_ops_batched(ops[split_at:], work, n_blk, digits, cross)

@@ -8,7 +8,8 @@ row per live prefix, and the full state vector is the one-row case.
 run_full splits the qubit positions into tiles of at most _TILE_QUBITS
 and applies each run of gates inside one tile as a single fused matrix,
 one matmul per slice of about 1 MB; only gates spanning two tiles run as
-single-gate kernels.  The path sum lowers one op per gate.
+single-gate kernels.  The path sum lowers one op per gate and runs its
+prefixes in row tiles of about the same size.
 
 Amplitude files come in two forms that share a leading "# key value"
 header.  Text lines ("index_hex re im" at a chosen number of significant
@@ -141,8 +142,9 @@ def _b_mat2(arr: np.ndarray, nb: int, qa: int, qb: int, u) -> None:
             sub(i, j)[:] = t
 
 
-# A tile op works through the array in slices of about this many bytes, so
-# its temporaries stay small next to the state.
+# The one working-set budget of both engines: a tile op works through the
+# array in slices of about this many bytes, so its temporaries stay small
+# next to the state, and the path sum sizes its row tiles to fit it.
 _SLICE_BYTES = 1 << 20
 
 
@@ -348,7 +350,8 @@ def run_full(circuit: Circuit, mem_limit: int | None = None) -> StateBlock:
     The positions are split into tiles (`_tiles`).  A gate inside one tile
     joins that tile's pending run, which is applied as one fused matrix
     (`_tile_op`) when a gate spanning two tiles touches the tile, and at
-    the end.  A spanning gate is applied on its own.
+    the end.  A spanning gate is applied on its own, and so is every gate
+    when one tile covers the state: its matrix would cost 2^n per gate.
     """
     n = circuit.n_qubits
     required = (2**n) * np.dtype(DTYPE).itemsize
@@ -368,7 +371,7 @@ def run_full(circuit: Circuit, mem_limit: int | None = None) -> StateBlock:
 
     for gate in circuit.gates:
         owners = {tile_of[q] for q in gate.qubits}
-        if len(owners) == 1:
+        if len(owners) == 1 and len(tiles) > 1:
             pending.setdefault(owners.pop(), []).append(gate)
             continue
         for t in owners:

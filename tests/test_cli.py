@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from gridsim.cli import main
+from gridsim.costmodel import CostParams, total_seconds
 from gridsim.sampler import SampleRequest, committed_indices, sample_basic
 from gridsim.statevec import read_amplitudes
 
@@ -107,6 +109,23 @@ class TestPlan:
         assert fc["machine"] == "std-16"
         assert fc["t_clock_hours"] == pytest.approx(fc["t_bill_hours"])
         assert fc["cost"] == pytest.approx(fc["t_bill_hours"] * 0.72)
+
+    def test_forecast_counts_iswap_paths(self, tmp_path, capsys):
+        circuit = tmp_path / "iswap.txt"
+        run_ok(["generate", "--rows", "4", "--cols", "4", "--depth", "20",
+                "--two-qubit", "iswap", "-o", str(circuit)])
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"C1": 2e-9, "C2": 1.1, "C3": 7e-9}))
+        capsys.readouterr()
+        run_ok(["plan", str(circuit), "--fidelity", "0.25", "--params", str(params),
+                "--n-a", "16"])
+        info = json.loads(capsys.readouterr().out)
+        assert (info["x_p"], info["x_b"], info["prefix_space"]) == (8, 2, 65536)
+        want = total_seconds(
+            CostParams(2e-9, 1.1, 7e-9), 0.25, *info["blocks"], info["d_p"], info["d_b"],
+            math.log2(info["prefix_space"]), math.log2(info["branch_space"]), 16,
+        )
+        assert info["forecast"]["t_tot_hours"] == pytest.approx(want / 3600, rel=1e-12)
 
 
 class TestSample:

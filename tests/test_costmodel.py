@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridsim.benchgen import GenSpec, generate
+from gridsim.circuit import GateKind
 from gridsim.costmodel import (
     BenchResult,
     CostModelError,
@@ -12,6 +14,7 @@ from gridsim.costmodel import (
     load_rate_card,
     total_seconds,
 )
+from gridsim.pathsum import make_plan
 
 
 def synthetic_results(c1, c2, c3, noise=0.0, seed=0):
@@ -62,6 +65,16 @@ class TestCalibrate:
         assert report.rel_residual == pytest.approx(
             float(np.sqrt(np.mean(np.array(report.per_run) ** 2)))
         )
+
+
+class TestFromPlan:
+    def test_radix4_plans_enter_the_law_by_their_spaces(self):
+        # the law counts 2^x_p prefixes; 8 iSWAP digits span 4^8 = 2^16
+        circuit = generate(GenSpec(4, 4, 20, "v2", GateKind.ISWAP, seed=0))
+        plan = make_plan(circuit, fidelity=0.25, seed=0)
+        assert (plan.x_p, plan.x_b, plan.prefix_space) == (8, 2, 65536)
+        row = BenchResult.from_plan(plan, 16, 1.0)
+        assert (row.x_p, row.x_b) == (16, 4)
 
 
 class TestTotalSeconds:

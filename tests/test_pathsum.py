@@ -16,7 +16,7 @@ from gridsim.circuit import (
     gate_matrix,
     parse_circuit,
 )
-from gridsim import pathsum
+from gridsim import pathsum, statevec
 from gridsim.pathsum import (
     estimate_fidelity,
     make_plan,
@@ -297,10 +297,26 @@ class TestPathSums:
         whole = run_batched(circuit_4x4_d16, plan, idx)
         rows = 7  # an uneven last chunk
         row_bytes = 8 * ((1 << plan.cut.n_a) + (1 << plan.cut.n_b))
-        monkeypatch.setattr(pathsum, "_ROW_BYTES_CAP", rows * row_bytes)
+        monkeypatch.setattr(statevec, "_SLICE_BYTES", rows * row_bytes)
         assert plan.x_b > 0 and -(-len(plan.retained) // rows) >= 3
         chunked = run_batched(circuit_4x4_d16, plan, idx)
         np.testing.assert_allclose(chunked.amps, whole.amps, atol=1e-6)
+
+    def test_row_tiles_keep_the_working_set_small(self):
+        # 512 rows of two 10-qubit blocks are 8 MiB as one array; tiles of
+        # the 1 MB slice budget, each copied once per branch, stay far below
+        circ = generate(GenSpec(4, 5, 20, "v2", seed=0))
+        plan = make_plan(circ, fidelity=1 / 16, x_b=0, seed=0)
+        assert len(plan.retained) == 512 and (plan.cut.n_a, plan.cut.n_b) == (10, 10)
+        idx = np.unique(np.random.default_rng(2).integers(0, 1 << 20, size=1024))
+        run_batched(circ, plan, idx[:1], prefixes=plan.retained[:1])  # lowering cache
+        tracemalloc.start()
+        try:
+            run_batched(circ, plan, idx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 << 20, f"run_batched peaked at {peak / 2**20:.1f} MiB"
 
     def test_shallow_paths_carry_near_equal_norms(self):
         # a depth-8 window keeps every cut gate's two projector branches

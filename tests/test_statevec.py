@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_states_close
+from gridsim import statevec
 from gridsim.benchgen import GenSpec, generate
 from gridsim.circuit import Circuit, Gate, GateKind, gate_matrix, parse_circuit
 from gridsim.statevec import (
@@ -156,6 +157,15 @@ class TestRunFull:
         pairs += [(q0, q0 + k - 1) for q0, k in tiles if k > 1]
         gates = _random_gates(np.random.default_rng(n), np.arange(n), pairs, 40 * n)
         circ = Circuit(rows, cols, gates)
+        assert_states_close(run_full(circ).amps, naive_state(circ), 1e-5)
+
+    def test_one_tile_applies_gates_directly(self, monkeypatch):
+        # a fused matrix over the whole state would cost 2^n per gate
+        def no_tile_op(*args):
+            raise AssertionError("one tile covers the state: no fused matrix")
+
+        monkeypatch.setattr(statevec, "_tile_op", no_tile_op)
+        circ = generate(GenSpec(2, 3, 20, "v2", seed=0))
         assert_states_close(run_full(circ).amps, naive_state(circ), 1e-5)
 
     def test_matches_naive_at_25_qubits(self):
