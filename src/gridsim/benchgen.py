@@ -26,7 +26,7 @@ from .circuit import (
     all_cuts,
     choose_cut,
     count_cross_gates,
-    gate_block,
+    cross_gates,
 )
 from .pathsum import schmidt_decompose
 
@@ -171,10 +171,7 @@ def generate(spec: GenSpec) -> Circuit:
     if spec.version == "v2":  # only v2 closes with a Hadamard layer
         final = spec.depth + 1
         gates += [Gate(final, GateKind.H, (q,)) for q in range(n)]
-        label = f"1+{spec.depth}+1"
-    else:
-        label = f"1+{spec.depth}"
-    return Circuit(spec.rows, spec.cols, gates, depth_label=label)
+    return Circuit(spec.rows, spec.cols, gates)
 
 
 @dataclass
@@ -243,7 +240,7 @@ def audit(circuit: Circuit, cut: Cut | None = None) -> HardnessReport:
     final_h = cycles >= 2 and circuit._all_h_cycle(cycles - 1)
 
     chosen = cut if cut is not None else choose_cut(circuit)
-    cross = [g for g in circuit.gates if len(g.qubits) == 2 and gate_block(g, chosen) == "cross"]
+    cross = cross_gates(circuit, chosen)
     space = math.prod(schmidt_decompose(g).rank for g in cross)
     per_cut = [
         (c.orientation, c.position, count_cross_gates(circuit, c)) for c in all_cuts(circuit)

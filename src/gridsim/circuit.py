@@ -131,15 +131,12 @@ class Circuit:
     rows: int
     cols: int
     gates: list[Gate] = field(default_factory=list)
-    depth_label: str | None = None
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise CircuitError(f"bad grid {self.rows}x{self.cols}")
         self.gates = sorted(self.gates, key=lambda g: g.cycle)
         self._validate()
-        if self.depth_label is None:
-            self.depth_label = self._infer_depth_label()
 
     @property
     def n_qubits(self) -> int:
@@ -172,16 +169,6 @@ class Circuit:
         if seen_cycles and seen_cycles != set(range(max(seen_cycles) + 1)):
             missing = sorted(set(range(max(seen_cycles) + 1)) - seen_cycles)
             raise CircuitError(f"cycle indices not contiguous, missing {missing}")
-
-    def _infer_depth_label(self) -> str | None:
-        if not self.gates:
-            return None
-        cycles = self.n_cycles
-        if not self._all_h_cycle(0):
-            return None
-        if cycles >= 2 and self._all_h_cycle(cycles - 1):
-            return f"1+{cycles - 2}+1"
-        return f"1+{cycles - 1}"
 
     def _all_h_cycle(self, cycle: int) -> bool:
         hs = {g.qubits[0] for g in self.gates if g.cycle == cycle and g.kind is GateKind.H}
@@ -338,9 +325,14 @@ def gate_block(gate: Gate, cut: Cut) -> str:
     return "cross"
 
 
+def cross_gates(circuit: Circuit, cut: Cut) -> list[Gate]:
+    """The two-qubit gates whose endpoints straddle the cut, in cycle order."""
+    return [g for g in circuit.gates if len(g.qubits) == 2 and gate_block(g, cut) == "cross"]
+
+
 def count_cross_gates(circuit: Circuit, cut: Cut) -> int:
     """Number of two-qubit gates whose endpoints straddle the cut."""
-    return sum(1 for g in circuit.gates if len(g.qubits) == 2 and gate_block(g, cut) == "cross")
+    return len(cross_gates(circuit, cut))
 
 
 def choose_cut(circuit: Circuit) -> Cut:

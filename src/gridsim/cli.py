@@ -28,13 +28,7 @@ from .sampler import (
     porter_thomas_fit,
     sample,
 )
-from .statevec import (
-    MemoryBudgetError,
-    fetch_amplitudes,
-    read_amplitudes,
-    run_full,
-    write_amplitudes,
-)
+from .statevec import fetch_amplitudes, read_amplitudes, run_full, write_amplitudes
 from . import validate as validation
 
 MAX_DEFAULT_AMPS_QUBITS = 20
@@ -72,12 +66,12 @@ def _default_indices(circuit: Circuit, amps_file: str | None) -> np.ndarray:
 
 def _emit_batch(out_path: str | None, batch, circuit: Circuit, digits: int, plan=None) -> None:
     """Write a batch as text; a truncated run's header also records its
-    fidelity as retained prefixes over the prefix space.  That fraction is
-    not the norm of the truncated state, which differs from it when the
-    retained prefixes carry unequal norms."""
+    fidelity, the plan's retained fraction.  That fraction is not the norm
+    of the truncated state, which differs from it when the retained
+    prefixes carry unequal norms."""
     header = {"n_qubits": str(circuit.n_qubits), "circuit": circuit_hash(circuit)}
     if plan is not None:
-        header["fidelity"] = repr(len(plan.retained) / plan.prefix_space)
+        header["fidelity"] = repr(plan.retained_fraction)
     path = "/dev/stdout" if out_path in (None, "-") else out_path
     write_amplitudes(path, batch, digits=digits, header=header)
 
@@ -95,15 +89,8 @@ def _add_plan_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="retained-path seed")
 
 
-def _make_plan(args, circuit: Circuit, workers: int = 1):
-    return make_plan(
-        circuit,
-        fidelity=args.fidelity,
-        x_p=args.xp,
-        x_b=args.xb,
-        seed=args.seed,
-        workers=workers,
-    )
+def _make_plan(args, circuit: Circuit):
+    return make_plan(circuit, fidelity=args.fidelity, x_p=args.xp, x_b=args.xb, seed=args.seed)
 
 
 def _cmd_generate(args) -> int:
@@ -174,7 +161,7 @@ def _cmd_pathsim(args) -> int:
 
 def _cmd_plan(args) -> int:
     circuit = _read_circuit(args.circuit, args.rows, args.cols)
-    plan = _make_plan(args, circuit, workers=args.workers)
+    plan = _make_plan(args, circuit)
     info = {
         "circuit": circuit_hash(circuit),
         "n_qubits": circuit.n_qubits,
@@ -282,7 +269,7 @@ def _cmd_merge(args) -> int:
 def _cmd_campaign(args) -> int:
     circuit = _read_circuit(args.circuit, args.rows, args.cols)
     indices = _default_indices(circuit, args.amps)
-    plan = _make_plan(args, circuit, workers=args.workers)
+    plan = _make_plan(args, circuit)
     if args.action == "status":
         st = status(circuit, plan, indices, args.dir)
         print(f"plan {st.plan_hash}: {len(st.done)}/{st.total} shards done, "
@@ -311,7 +298,6 @@ def _cmd_campaign(args) -> int:
 def _cmd_validate_verifier(args) -> int:
     circuit = _read_circuit(args.circuit, args.rows, args.cols)
     private_path = args.private or args.challenge + ".private"
-    cut = None if args.balanced_cut else validation.verifier_cut(circuit)
     if args.response is None:
         ch = validation.issue_challenge(
             circuit,
@@ -332,7 +318,7 @@ def _cmd_validate_verifier(args) -> int:
         f1 = float(json.load(f)["f1"])
     ch = validation.Challenge(ch.circuit_hash, ch.k, ch.index_seed, ch.delta, f1)
     response, _ = read_amplitudes(args.response)
-    result = validation.verifier_round(circuit, ch, response, path_seed=args.path_seed, cut=cut)
+    result = validation.verifier_round(circuit, ch, response, path_seed=args.path_seed)
     verdict = "PASS" if result.passed else "FAIL"
     print(f"{verdict} f_e={result.f_e:.6f} target={result.f1_realized:.6f} delta={result.delta}")
     return 0 if result.passed else 1
@@ -391,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="show how a hybrid run would be split")
     _add_circuit_arg(p)
     _add_plan_args(p)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--params", default=None, help="JSON file with calibrated C1 C2 C3")
     p.add_argument("--n-a", type=int, default=1, help="amplitudes to be collected")
     p.add_argument("--procs", type=int, default=1, help="processes per node for the forecast")
@@ -450,8 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--f1", type=float, default=None, help="override the secret fidelity")
     v.add_argument("--f1-band", type=float, nargs=2, default=list(validation.DEFAULT_F1_BAND))
     v.add_argument("--path-seed", type=int, default=None)
-    v.add_argument("--balanced-cut", action="store_true",
-                   help="use the memory-balanced cut instead of the fewest-cross cut")
     v.set_defaults(func=_cmd_validate_verifier)
 
     c = vsub.add_parser("claimant", help="answer a challenge file")
@@ -477,7 +460,7 @@ def main(argv=None) -> int:
         SamplingError,
         CampaignError,
         CostModelError,
-        MemoryBudgetError,
+        MemoryError,
         validation.ValidationError,
         ValueError,
         OSError,

@@ -29,6 +29,7 @@ from .circuit import (
     Gate,
     GateKind,
     choose_cut,
+    cross_gates,
     gate_block,
     gate_matrix,
 )
@@ -216,6 +217,12 @@ class SimPlan:
     def path_space(self) -> int:
         return math.prod(self.radices)
 
+    @property
+    def retained_fraction(self) -> float:
+        """Retained prefixes over the prefix space: the fidelity the plan
+        realizes, f up to half a retention step."""
+        return len(self.retained) / self.prefix_space
+
 
 _ID_LIMIT = 1 << 63  # ids are int64, so a space holds at most 2^63 of them
 
@@ -260,23 +267,23 @@ def make_plan(
     x_b: int | None = None,
     seed: int = 0,
     cut: Cut | None = None,
-    workers: int = 1,
 ) -> SimPlan:
     """Build a SimPlan, choosing the cut and the prefix/branch split if unset.
 
-    The default split takes the smallest branch region whose per-prefix
-    work covers the per-branch copy of its blocks about 32 times over,
-    capped so at least `workers` prefix jobs remain.
+    The plan depends only on its arguments, so every process that plans
+    the same circuit with the same settings gets the same jobs. The
+    default split takes the smallest branch region whose per-prefix work
+    covers the per-branch copy of its blocks about 32 times over.
     """
     if not 0 < fidelity <= 1:
         raise CircuitError(f"fidelity must be in (0, 1], got {fidelity}")
     if cut is None:
         cut = choose_cut(circuit)
-    cross = [g for g in circuit.gates if len(g.qubits) == 2 and gate_block(g, cut) == "cross"]
+    cross = cross_gates(circuit, cut)
     radices = tuple(schmidt_decompose(g).rank for g in cross)
     x = len(radices)
     if x_p is None and x_b is None:
-        x_b = _default_branch_digits(circuit, cut, cross, radices, workers)
+        x_b = _default_branch_digits(circuit.n_cycles, cross, radices)
         x_p = x - x_b
     elif x_p is None:
         x_p = x - x_b
@@ -291,29 +298,15 @@ def make_plan(
     return SimPlan(cut, fidelity, radices, x_p, x_b, d_p, d_b, seed, retained)
 
 
-def _default_branch_digits(circuit, cut, cross, radices, workers) -> int:
+def _default_branch_digits(n_cycles, cross, radices) -> int:
+    # a cycle of gates costs about one copy of the blocks, so a prefix's
+    # branch work is branches * d_b copies; take the least x_b reaching 32
     x = len(cross)
-    cap = x - max(0, math.ceil(math.log2(workers))) if workers > 1 else x
-    cap = max(0, cap)
-    copy_cost = (1 << cut.n_a) + (1 << cut.n_b)
-    n_cycles = circuit.n_cycles
-    for x_b in range(0, cap + 1):
-        branches = math.prod(radices[x - x_b :])
+    for x_b in range(0, x + 1):
         d_b = n_cycles - (cross[x - x_b].cycle if x_b > 0 else n_cycles)
-        work = branches * max(1, d_b) * copy_cost
-        if work >= 32 * copy_cost:
+        if math.prod(radices[x - x_b :]) * max(1, d_b) >= 32:
             return x_b
-    return cap
-
-
-def run_approx(circuit: Circuit, plan: SimPlan, requests) -> AmplitudeBatch:
-    """Accumulate contributions of all retained prefixes, ascending by id.
-
-    Every retained prefix is carried through the gate sequence at once as
-    a (prefixes, amplitudes) array, which keeps the per-amplitude cost
-    flat from small blocks up.
-    """
-    return run_batched(circuit, plan, requests)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +403,11 @@ def run_batched(
     out = AmplitudeBatch.zeros(requests)
     out.amps[:] = joint[idx_a, idx_b] if use_joint else acc
     return out
+
+
+# The library name of the truncated engine: every retained prefix, summed
+# ascending by id.
+run_approx = run_batched
 
 
 def estimate_fidelity(reference: AmplitudeBatch, candidate: AmplitudeBatch) -> float:

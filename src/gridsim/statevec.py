@@ -41,10 +41,6 @@ DTYPE = np.complex64
 ACC_DTYPE = np.complex128
 
 
-class MemoryBudgetError(MemoryError):
-    pass
-
-
 @dataclass
 class StateBlock:
     """2**n_qubits complex64 amplitudes, qubit 0 in the most significant bit."""
@@ -343,7 +339,7 @@ def _tile_op(gates, q0: int, k: int) -> tuple:
     return ("tile", 0, q0, k, batch.T.astype(DTYPE))
 
 
-def run_full(circuit: Circuit, mem_limit: int | None = None) -> StateBlock:
+def run_full(circuit: Circuit) -> StateBlock:
     """Simulate the full circuit from |0...0> as a one-row array in which
     every qubit sits at its own position.
 
@@ -352,13 +348,10 @@ def run_full(circuit: Circuit, mem_limit: int | None = None) -> StateBlock:
     (`_tile_op`) when a gate spanning two tiles touches the tile, and at
     the end.  A spanning gate is applied on its own, and so is every gate
     when one tile covers the state: its matrix would cost 2^n per gate.
+    The 8·2^n-byte state is allocated first, so a state that does not fit
+    raises numpy's MemoryError before any gate runs.
     """
     n = circuit.n_qubits
-    required = (2**n) * np.dtype(DTYPE).itemsize
-    if mem_limit is not None and required > mem_limit:
-        raise MemoryBudgetError(
-            f"state of {n} qubits requires {required} bytes, budget is {mem_limit}"
-        )
     state = StateBlock.zero_state(n)
     blocks, n_blk, identity = [state.amps.reshape(1, -1)], (n,), range(n)
     tiles = _tiles(n)
@@ -399,9 +392,6 @@ class AmplitudeBatch:
     def zeros(cls, indices) -> AmplitudeBatch:
         indices = np.asarray(indices, dtype=np.int64)
         return cls(indices, np.zeros(len(indices), dtype=ACC_DTYPE))
-
-    def copy(self) -> AmplitudeBatch:
-        return AmplitudeBatch(self.indices.copy(), self.amps.copy())
 
 
 def fetch_amplitudes(state: StateBlock, indices) -> AmplitudeBatch:

@@ -2,12 +2,12 @@
 
 The verifier never needs the exact answer.  It asks for amplitudes at k
 reproducible pseudo-random indices, simulates its own truncated state at a
-secret fidelity f1 with a secret retained-path seed, and checks that the
-overlap-based fidelity estimate of the claimed amplitudes against that
-state lands within delta of f1.  A claimant returning the true amplitudes
-concentrates at f1; a claimant guessing, or reusing a low-fidelity state,
-lands near zero.  Repeating rounds with fresh verifier states compounds
-the cheat-detection odds.
+secret fidelity f1 with a secret retained-path seed on the cut with the
+fewest cross gates, and checks that the overlap-based fidelity estimate of
+the claimed amplitudes against that state lands within delta of f1.  A
+claimant returning the true amplitudes concentrates at f1; a claimant
+guessing, or reusing a low-fidelity state, lands near zero.  Repeating
+rounds with fresh verifier states compounds the cheat-detection odds.
 
 Transport is two files: a challenge as JSON (the secret fidelity is never
 written) and a response in the standard amplitude text format.
@@ -93,10 +93,7 @@ def issue_challenge(
     if f1 is None:
         lo, hi = f1_band
         f1 = float(np.random.default_rng([seed, 1]).uniform(lo, hi))
-    ch = Challenge(circuit_hash(circuit), k, seed, delta, f1)
-    # materialize once so a bad k fails at issue time, not at response time
-    challenge_indices(circuit.n_qubits, k, seed)
-    return ch
+    return Challenge(circuit_hash(circuit), k, seed, delta, f1)
 
 
 def write_challenge(path, ch: Challenge) -> None:
@@ -187,11 +184,10 @@ def verifier_round(
     """Score a response against a fresh secret truncated state.
 
     The verifier runs the hybrid engine at its secret f1 with a fresh
-    retained-path seed and estimates fidelity with the claimant batch as
-    the reference. Retention is quantized, so the round passes iff f_e is
-    within delta of the fraction the verifier state actually kept (equal
-    to f1 up to half a retention step). Passing `cut` overrides the cut;
-    verifier_cut(circuit) is the recommended choice.
+    retained-path seed on `cut`, by default verifier_cut(circuit), and
+    estimates fidelity with the claimant batch as the reference. Retention
+    is quantized, so the round passes iff f_e is within delta of the
+    plan's retained fraction (equal to f1 up to half a retention step).
     """
     if ch.f1 is None:
         raise ValidationError("verifier_round needs the private challenge (f1 is unset)")
@@ -202,12 +198,11 @@ def verifier_round(
         raise ValidationError("response does not cover exactly the challenge indices")
     if path_seed is None:
         path_seed = int(np.random.default_rng().integers(1 << 62))
-    plan = make_plan(circuit, fidelity=ch.f1, seed=path_seed, cut=cut)
-    f1_realized = len(plan.retained) / plan.prefix_space
+    plan = make_plan(circuit, fidelity=ch.f1, seed=path_seed, cut=cut or verifier_cut(circuit))
     verifier_state = run_approx(circuit, plan, indices)
     f_e = estimate_fidelity(claimant_amps, verifier_state)
-    passed = bool(abs(f_e - f1_realized) <= ch.delta)
-    return RoundResult(passed, f_e, ch.f1, f1_realized, ch.delta)
+    passed = bool(abs(f_e - plan.retained_fraction) <= ch.delta)
+    return RoundResult(passed, f_e, ch.f1, plan.retained_fraction, ch.delta)
 
 
 def calibrate_delta(

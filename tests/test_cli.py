@@ -81,6 +81,16 @@ class TestSimulatePathsim:
         b, _ = read_amplitudes(hybrid)
         np.testing.assert_allclose(a.amps, b.amps, atol=1e-6)
 
+    def test_unallocatable_state_is_a_clean_error(self, tmp_path, capsys):
+        # 2^49 complex64 amplitudes (4 PiB) exceed the address space, so the
+        # allocation fails at once
+        circ = tmp_path / "circ.txt"
+        circ.write_text("49\n0 h 0\n")
+        idx_file = tmp_path / "idx.txt"
+        idx_file.write_text("0\n")
+        assert main(["simulate", str(circ), "--amps", str(idx_file)]) == 1
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
+
     def test_index_file_restricts_output(self, circuit_file, tmp_path):
         idx_file = tmp_path / "idx.txt"
         idx_file.write_text("# three requests\n0\nff\n1a0\n")
@@ -200,6 +210,20 @@ class TestCampaign:
         b, _ = read_amplitudes(direct)
         np.testing.assert_allclose(a.amps, b.amps, atol=1e-7)
         assert json.loads(report.read_text())["jobs"] >= 1
+
+    def test_worker_count_does_not_change_the_plan(self, tmp_path, capsys):
+        # status and merge rebuild the plan without --workers, so the run's
+        # worker count must not change the default split
+        circ = tmp_path / "circ.txt"
+        run_ok(["generate", "--rows", "3", "--cols", "3", "--depth", "12",
+                "--seed", "0", "-o", str(circ)])
+        shard_dir = tmp_path / "shards"
+        common = ["--circuit", str(circ), "--fidelity", "0.5"]
+        run_ok(["campaign", "run", "--dir", str(shard_dir), "--workers", "8", *common])
+        capsys.readouterr()
+        run_ok(["campaign", "status", "--dir", str(shard_dir), *common])
+        assert "complete=True" in capsys.readouterr().out
+        assert main(["merge", str(shard_dir), "-o", str(tmp_path / "m.amp"), *common]) == 0
 
     def test_resume_completes_after_loss(self, circuit_file, tmp_path, capsys):
         shard_dir = tmp_path / "shards"

@@ -9,7 +9,6 @@ from gridsim.benchgen import GenSpec, generate
 from gridsim.circuit import Circuit, Gate, GateKind, gate_matrix, parse_circuit
 from gridsim.statevec import (
     ClusterKind,
-    MemoryBudgetError,
     _b_diag1,
     _b_diag2,
     _tile_op,
@@ -190,11 +189,6 @@ class TestRunFull:
         amps = run_full(circuit_4x4_d16).amps
         norm = float(np.vdot(amps, amps).real)
         assert abs(norm - 1.0) < 1e-4
-
-    def test_memory_budget_enforced(self):
-        circ = generate(GenSpec(4, 4, 8, "v2", seed=0))
-        with pytest.raises(MemoryBudgetError):
-            run_full(circ, mem_limit=1 << 10)
 
     def test_mean_probability_near_uniform(self, circuit_4x4_d16):
         amps = run_full(circuit_4x4_d16).amps.astype(np.complex128)

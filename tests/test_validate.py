@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gridsim.benchgen import GenSpec, generate
-from gridsim.circuit import all_cuts, count_cross_gates
+from gridsim.circuit import all_cuts, choose_cut, count_cross_gates
 from gridsim.statevec import fetch_amplitudes, run_full
 from gridsim.validate import (
     Challenge,
@@ -139,6 +139,13 @@ class TestRounds:
         ch = issue_challenge(circuit, k=64, seed=1)
         with pytest.raises(ValidationError):
             claimant_round(circuit, ch, engine="prayer")
+
+    def test_default_cut_is_the_verifier_cut(self, circuit, vcut):
+        assert choose_cut(circuit) != vcut
+        ch = issue_challenge(circuit, k=256, seed=41, f1=0.15)
+        response = claimant_round(circuit, ch, engine="exact")
+        got = verifier_round(circuit, ch, response, path_seed=57)
+        assert got == verifier_round(circuit, ch, response, path_seed=57, cut=vcut)
 
     def test_round_is_deterministic_given_seeds(self, circuit, vcut, delta):
         ch = issue_challenge(circuit, k=2048, delta=delta, seed=31, f1=0.12)
