@@ -18,7 +18,6 @@ import numpy as np
 from .circuit import (
     Circuit,
     CircuitError,
-    Cut,
     Gate,
     GateKind,
     ONE_QUBIT_KINDS,
@@ -200,11 +199,11 @@ class HardnessReport:
         return d
 
 
-def audit(circuit: Circuit, cut: Cut | None = None) -> HardnessReport:
+def audit(circuit: Circuit) -> HardnessReport:
     """Measure the hardness-relevant structure of a circuit.
 
     Reports diagonal CZ-T-CZ runs, the closing Hadamard layer, T count,
-    the chosen (or given) cut with its cross-gate count and path-space
+    the chosen cut with its cross-gate count and path-space
     size, and violations of the no-repeat rule for one-qubit fills.
     """
     n = circuit.n_qubits
@@ -239,7 +238,7 @@ def audit(circuit: Circuit, cut: Cut | None = None) -> HardnessReport:
 
     final_h = cycles >= 2 and circuit._all_h_cycle(cycles - 1)
 
-    chosen = cut if cut is not None else choose_cut(circuit)
+    chosen = choose_cut(circuit)
     cross = cross_gates(circuit, chosen)
     space = math.prod(schmidt_decompose(g).rank for g in cross)
     per_cut = [

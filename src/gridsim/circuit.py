@@ -37,7 +37,6 @@ class GateKind(enum.Enum):
 
 ONE_QUBIT_KINDS = frozenset({GateKind.H, GateKind.T, GateKind.X_HALF, GateKind.Y_HALF})
 TWO_QUBIT_KINDS = frozenset({GateKind.CZ, GateKind.ISWAP, GateKind.GENERIC_2Q})
-DIAGONAL_KINDS = frozenset({GateKind.T, GateKind.CZ})
 
 _NAME_TO_KIND = {k.value: k for k in GateKind}
 

@@ -29,6 +29,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from importlib import resources
+from typing import ClassVar
 
 import numpy as np
 
@@ -66,23 +67,20 @@ _DEFAULT_OMEGA = {1: 1.0, 2: 1.05, 4: 1.15, 8: 1.3, 16: 1.55, 32: 1.8, 64: 2.0}
 class CostParams:
     """Calibrated constants plus pricing context for forecasts."""
 
+    C4: ClassVar[int] = 2  # row tile + per-branch copy
+    bytes_per_amplitude: ClassVar[int] = 8  # one complex64
+
     C1: float
     C2: float
     C3: float
-    C4: int = 2  # row tile + per-branch copy
     omega: dict = field(default_factory=lambda: dict(_DEFAULT_OMEGA))
     rate_card: dict = field(default_factory=load_rate_card)
-    bytes_per_amplitude: int = 8
 
     def __post_init__(self):
         if self.C1 <= 0 or self.C2 < 0 or self.C3 < 0:
             raise CostModelError(
                 f"constants must be positive, got C1={self.C1} C2={self.C2} C3={self.C3}"
             )
-        if self.C4 < 1:
-            raise CostModelError(f"copy multiplier must be >= 1, got {self.C4}")
-        if self.bytes_per_amplitude < 1:
-            raise CostModelError("bytes_per_amplitude must be >= 1")
         pts = sorted(self.omega.items())
         if not pts or pts[0][0] != 1 or pts[0][1] != 1.0:
             raise CostModelError("omega table must anchor omega(1) = 1")

@@ -378,7 +378,7 @@ def run_batched(
 
     def land(blocks):
         if use_joint:
-            joint[:, :] += blocks[0].T @ blocks[1]
+            joint[:, :] += blocks[0].T.astype(ACC_DTYPE) @ blocks[1].astype(ACC_DTYPE)
             return
         step = max(1, (1 << 22) // max(1, n_req))
         for s in range(0, blocks[0].shape[0], step):

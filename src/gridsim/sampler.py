@@ -133,20 +133,27 @@ def _check_batch(req: SampleRequest, indices, probs, per_sample: int):
     return indices, probs
 
 
+def _rejection_sample(req: SampleRequest, indices, probs, m: int, drop_tail: bool) -> SampleSet:
+    # accept with min{1, p*N/m}; with drop_tail, entries above m/N are rejected
+    indices, probs = _check_batch(req, indices, probs, m)
+    n_states = req.n_states
+    cap = m / n_states
+    u = _philox(req.seed, 1).random(probs.size)
+    accept = u < np.minimum(1.0, probs * n_states / m)
+    if drop_tail:
+        accept &= probs <= cap
+    tail = float(probs[probs > cap].sum() * n_states / probs.size)
+    return SampleSet(indices[accept], req.n_qubits, int(accept.sum()), tail)
+
+
 def sample_basic(req: SampleRequest, indices, probs) -> SampleSet:
-    """Accept each entry with probability p*N/M; entries above M/N are dropped.
+    """Frugal sampling at M = plan_basic(n, epsilon), with entries above M/N dropped.
 
     The dropped mass is what plan_basic's epsilon budgeted for; it is
     reported as measured_tail_mass rather than silently lost.
     """
     m = plan_basic(req.n_qubits, req.epsilon)
-    indices, probs = _check_batch(req, indices, probs, m)
-    n_states = req.n_states
-    cap = m / n_states
-    u = _philox(req.seed, 1).random(probs.size)
-    accept = (probs <= cap) & (u < probs * n_states / m)
-    tail = float(probs[probs > cap].sum() * n_states / probs.size)
-    return SampleSet(indices[accept], req.n_qubits, int(accept.sum()), tail)
+    return _rejection_sample(req, indices, probs, m, drop_tail=True)
 
 
 def sample_frugal(req: SampleRequest, indices, probs) -> SampleSet:
@@ -155,13 +162,7 @@ def sample_frugal(req: SampleRequest, indices, probs) -> SampleSet:
     Shares the acceptance stream with sample_basic, so on one batch the
     frugal accepts are a superset of the basic ones whenever M' <= M.
     """
-    m_star = req.m_star
-    indices, probs = _check_batch(req, indices, probs, m_star)
-    n_states = req.n_states
-    u = _philox(req.seed, 1).random(probs.size)
-    accept = u < np.minimum(1.0, probs * n_states / m_star)
-    tail = float(probs[probs > m_star / n_states].sum() * n_states / probs.size)
-    return SampleSet(indices[accept], req.n_qubits, int(accept.sum()), tail)
+    return _rejection_sample(req, indices, probs, req.m_star, drop_tail=False)
 
 
 def sample(req: SampleRequest, indices, probs) -> SampleSet:

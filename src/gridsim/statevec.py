@@ -5,11 +5,12 @@ Amplitudes are kept in complex64; norms and amplitude accumulation use
 double precision.  Gates tolerate arbitrary (including non-unitary) 2x2
 operators.  The kernels act on (rows, 2^n) arrays: the path sum keeps one
 row per live prefix, and the full state vector is the one-row case.
-run_full splits the qubit positions into tiles of at most _TILE_QUBITS
-and applies each run of gates inside one tile as a single fused matrix,
-one matmul per slice of about 1 MB; only gates spanning two tiles run as
-single-gate kernels.  The path sum lowers one op per gate and runs its
-prefixes in row tiles of about the same size.
+run_full applies the schedule that cluster_gates returns: the qubit
+positions are split into tiles of at most _TILE_QUBITS, each run of gates
+inside one tile is one fused matrix, applied by one matmul per slice of
+about 1 MB, and only gates spanning two tiles run as single-gate kernels.
+The path sum lowers one op per gate and runs its prefixes in row tiles of
+about the same size.
 
 Amplitude files come in two forms that share a leading "# key value"
 header.  Text lines ("index_hex re im" at a chosen number of significant
@@ -23,19 +24,12 @@ from __future__ import annotations
 
 import base64
 import binascii
-import enum
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import (
-    Circuit,
-    DIAGONAL_KINDS,
-    Gate,
-    GateKind,
-    gate_matrix,
-)
+from .circuit import Circuit, Gate, GateKind, gate_matrix
 
 DTYPE = np.complex64
 ACC_DTYPE = np.complex128
@@ -204,114 +198,6 @@ def apply_op(op: tuple, blocks, n_blk) -> None:
     _KERNELS[op[0]](blocks[blk], n_blk[blk], *op[2:])
 
 
-class ClusterKind(enum.Enum):
-    DIAGONAL = "diagonal"
-    X_HALF = "x_1_2"
-    Y_HALF = "y_1_2"
-    H = "h"
-    GENERIC = "generic"
-
-
-_KIND_TO_CLUSTER = {
-    GateKind.X_HALF: ClusterKind.X_HALF,
-    GateKind.Y_HALF: ClusterKind.Y_HALF,
-    GateKind.H: ClusterKind.H,
-}
-
-
-@dataclass
-class GateCluster:
-    """Commuting gate group applied as one unit.
-
-    DIAGONAL clusters hold per-qubit T counts mod 8 plus CZ pair parities;
-    the named one-qubit kinds hold a bit-encoded qubit set; GENERIC keeps
-    its gates verbatim.
-    """
-
-    kind: ClusterKind
-    n_qubits: int
-    qubit_mask: int = 0
-    t_counts: np.ndarray | None = None
-    cz_parity: dict[tuple[int, int], int] = field(default_factory=dict)
-    gates: list[Gate] = field(default_factory=list)
-
-    @property
-    def diagonal(self) -> bool:
-        return self.kind is ClusterKind.DIAGONAL
-
-    def add(self, gate: Gate) -> None:
-        self.gates.append(gate)
-        for q in gate.qubits:
-            self.qubit_mask |= 1 << q
-        if gate.kind is GateKind.T:
-            self.t_counts[gate.qubits[0]] = (self.t_counts[gate.qubits[0]] + 1) % 8
-        elif gate.kind is GateKind.CZ:
-            pair = tuple(sorted(gate.qubits))
-            self.cz_parity[pair] = self.cz_parity.get(pair, 0) ^ 1
-
-
-def _gate_cluster_kind(gate: Gate) -> ClusterKind:
-    if gate.kind in DIAGONAL_KINDS:
-        return ClusterKind.DIAGONAL
-    return _KIND_TO_CLUSTER.get(gate.kind, ClusterKind.GENERIC)
-
-
-def _gate_mask(gate: Gate) -> int:
-    m = 0
-    for q in gate.qubits:
-        m |= 1 << q
-    return m
-
-
-def cluster_gates(circuit: Circuit) -> list[GateCluster]:
-    """Group gates into clusters; replaying clusters in order is equivalent.
-
-    No engine applies clusters: run_full fuses gates per qubit tile
-    instead, and the grouping is kept for inspection (the benchmark
-    reports its count).
-
-    A gate may hop backwards over clusters it commutes with (disjoint
-    qubits, or both diagonal) and merges into the nearest cluster of its
-    own kind that can take it.
-    """
-    n = circuit.n_qubits
-    clusters: list[GateCluster] = []
-    for gate in circuit.gates:
-        kind = _gate_cluster_kind(gate)
-        gmask = _gate_mask(gate)
-        gdiag = gate.kind in DIAGONAL_KINDS
-        target = None
-        for cl in reversed(clusters):
-            if cl.kind is kind and _can_take(cl, gate, kind, gmask):
-                target = cl
-                break
-            commutes = (cl.qubit_mask & gmask) == 0 or (cl.diagonal and gdiag)
-            if not commutes:
-                break
-        if target is None:
-            target = GateCluster(kind, n)
-            if kind is ClusterKind.DIAGONAL:
-                target.t_counts = np.zeros(n, dtype=np.int8)
-            clusters.append(target)
-        target.add(gate)
-    return [cl for cl in clusters if not _cluster_is_identity(cl)]
-
-
-def _can_take(cl: GateCluster, gate: Gate, kind: ClusterKind, gmask: int) -> bool:
-    if kind is ClusterKind.DIAGONAL:
-        return True
-    if kind is ClusterKind.GENERIC:
-        return True
-    return (cl.qubit_mask & gmask) == 0
-
-
-def _cluster_is_identity(cl: GateCluster) -> bool:
-    # T counts and CZ parities can cancel to nothing.
-    if cl.kind is not ClusterKind.DIAGONAL:
-        return False
-    return not np.any(cl.t_counts) and not any(cl.cz_parity.values())
-
-
 # Widest qubit tile run_full fuses into one matrix; of widths 5-8, 7 ran
 # 21- and 24-qubit states fastest (8 was 2.7x slower at 24 qubits).
 _TILE_QUBITS = 7
@@ -339,28 +225,33 @@ def _tile_op(gates, q0: int, k: int) -> tuple:
     return ("tile", 0, q0, k, batch.T.astype(DTYPE))
 
 
-def run_full(circuit: Circuit) -> StateBlock:
-    """Simulate the full circuit from |0...0> as a one-row array in which
-    every qubit sits at its own position.
+@dataclass
+class GateCluster:
+    """Gates that run_full applies as one op: with tile=(q0, k), a run of
+    gates inside positions q0..q0+k-1, fused by `_tile_op`; with tile=None,
+    a single gate applied on its own."""
+
+    tile: tuple[int, int] | None
+    gates: list[Gate]
+
+
+def cluster_gates(circuit: Circuit) -> list[GateCluster]:
+    """The clusters run_full applies, in order: its schedule.
 
     The positions are split into tiles (`_tiles`).  A gate inside one tile
-    joins that tile's pending run, which is applied as one fused matrix
-    (`_tile_op`) when a gate spanning two tiles touches the tile, and at
-    the end.  A spanning gate is applied on its own, and so is every gate
-    when one tile covers the state: its matrix would cost 2^n per gate.
-    The 8·2^n-byte state is allocated first, so a state that does not fit
-    raises numpy's MemoryError before any gate runs.
+    joins that tile's pending run, which closes as a tile cluster when a
+    gate spanning two tiles touches the tile, and at the end.  A spanning
+    gate is a cluster on its own, and so is every gate when one tile covers
+    the state: its matrix would cost 2^n per gate.
     """
-    n = circuit.n_qubits
-    state = StateBlock.zero_state(n)
-    blocks, n_blk, identity = [state.amps.reshape(1, -1)], (n,), range(n)
-    tiles = _tiles(n)
+    tiles = _tiles(circuit.n_qubits)
     tile_of = [t for t, (_, k) in enumerate(tiles) for _ in range(k)]
     pending: dict[int, list[Gate]] = {}
+    clusters: list[GateCluster] = []
 
     def flush(t: int) -> None:
         if t in pending:
-            apply_op(_tile_op(pending.pop(t), *tiles[t]), blocks, n_blk)
+            clusters.append(GateCluster(tiles[t], pending.pop(t)))
 
     for gate in circuit.gates:
         owners = {tile_of[q] for q in gate.qubits}
@@ -369,9 +260,29 @@ def run_full(circuit: Circuit) -> StateBlock:
             continue
         for t in owners:
             flush(t)
-        apply_op(lower_gate(gate, 0, identity), blocks, n_blk)
+        clusters.append(GateCluster(None, [gate]))
     for t in list(pending):
         flush(t)
+    return clusters
+
+
+def run_full(circuit: Circuit) -> StateBlock:
+    """Simulate the full circuit from |0...0> as a one-row array in which
+    every qubit sits at its own position, one op per cluster of
+    `cluster_gates`.
+
+    The 8·2^n-byte state is allocated first, so a state that does not fit
+    raises numpy's MemoryError before any gate runs.
+    """
+    n = circuit.n_qubits
+    state = StateBlock.zero_state(n)
+    blocks, n_blk, identity = [state.amps.reshape(1, -1)], (n,), range(n)
+    for cl in cluster_gates(circuit):
+        if cl.tile is None:
+            op = lower_gate(cl.gates[0], 0, identity)
+        else:
+            op = _tile_op(cl.gates, *cl.tile)
+        apply_op(op, blocks, n_blk)
     return state
 
 

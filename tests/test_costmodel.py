@@ -143,7 +143,7 @@ class TestForecast:
         assert (small.M_proc - empty.M_proc) / empty.M_proc < 0.01
 
     def test_block_memory_formula(self):
-        params = CostParams(1e-9, 1.0, 1e-9, C4=2, bytes_per_amplitude=8)
+        params = CostParams(1e-9, 1.0, 1e-9)
         fc = forecast(params, 1.0, 9, 11, 8, 0, 4, 0, 100)
         assert fc.M_proc == (2 * (512 + 2048) + 100) * 8
 
@@ -189,8 +189,6 @@ class TestValidation:
     def test_params_reject_nonsense(self):
         with pytest.raises(CostModelError):
             CostParams(0.0, 1.0, 1e-9)
-        with pytest.raises(CostModelError):
-            CostParams(1e-9, 1.0, 1e-9, C4=0)
 
     def test_rate_card_entries(self):
         card = load_rate_card()

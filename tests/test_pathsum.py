@@ -302,6 +302,19 @@ class TestPathSums:
         chunked = run_batched(circuit_4x4_d16, plan, idx)
         np.testing.assert_allclose(chunked.amps, whole.amps, atol=1e-6)
 
+    def test_joint_landing_does_not_depend_on_row_tiles(self, monkeypatch, circuit_4x4_d16):
+        # every amplitude is requested, so the two blocks are contracted
+        # into the joint matrix; its row sums are accumulated in complex128
+        plan = make_plan(circuit_4x4_d16, fidelity=0.5, x_b=0, seed=3)
+        idx = np.arange(1 << 16)
+        whole = run_batched(circuit_4x4_d16, plan, idx).amps
+        rows = 7
+        row_bytes = 8 * ((1 << plan.cut.n_a) + (1 << plan.cut.n_b))
+        monkeypatch.setattr(statevec, "_SLICE_BYTES", rows * row_bytes)
+        assert -(-len(plan.retained) // rows) >= 3
+        tiled = run_batched(circuit_4x4_d16, plan, idx).amps
+        assert np.abs(tiled - whole).max() <= 1e-14 * np.abs(whole).max()
+
     def test_row_tiles_keep_the_working_set_small(self):
         # 512 rows of two 10-qubit blocks are 8 MiB as one array; tiles of
         # the 1 MB slice budget, each copied once per branch, stay far below

@@ -8,7 +8,6 @@ from gridsim import statevec
 from gridsim.benchgen import GenSpec, generate
 from gridsim.circuit import Circuit, Gate, GateKind, gate_matrix, parse_circuit
 from gridsim.statevec import (
-    ClusterKind,
     _b_diag1,
     _b_diag2,
     _tile_op,
@@ -21,7 +20,7 @@ from gridsim.statevec import (
     run_full,
     write_amplitudes,
 )
-from oracles import naive_state
+from oracles import _apply_1q, _apply_2q, naive_state
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 ONE_QUBIT = (GateKind.H, GateKind.T, GateKind.X_HALF, GateKind.Y_HALF)
@@ -83,37 +82,99 @@ class TestSingleGates:
 
 
 class TestClusters:
-    def test_t_only_circuit_is_single_diagonal_cluster(self):
-        text = "3\n" + "".join(f"{c} t {q}\n" for c in range(5) for q in range(3))
-        circ = parse_circuit(text, rows=1, cols=3)
-        clusters = cluster_gates(circ)
-        assert len(clusters) == 1
-        assert clusters[0].kind is ClusterKind.DIAGONAL
-        assert list(clusters[0].t_counts[:3]) == [5, 5, 5]
-
-    def test_t_counts_wrap_mod_8(self):
-        text = "1\n" + "".join(f"{c} t 0\n" for c in range(9))
-        clusters = cluster_gates(parse_circuit(text))
-        assert len(clusters) == 1
-        assert clusters[0].t_counts[0] == 1
-
     def test_empty_circuit_has_no_clusters(self):
         assert cluster_gates(Circuit(rows=2, cols=2)) == []
 
-    def test_cz_pairs_merge_into_diagonal_cluster(self):
-        text = "4\n0 cz 0 1\n0 t 2\n1 cz 2 3\n"
-        clusters = cluster_gates(parse_circuit(text, rows=2, cols=2))
-        assert len(clusters) == 1
-        assert clusters[0].cz_parity == {(0, 1): 1, (2, 3): 1}
 
-    def test_repeated_cz_cancels_to_identity_cluster(self):
-        # both CZ land in one diagonal cluster; the pair parity cancels and
-        # the resulting identity cluster is dropped entirely
-        text = "4\n0 cz 0 1\n1 cz 0 1\n"
-        assert cluster_gates(parse_circuit(text, rows=2, cols=2)) == []
+def _straddling_circuit(rows, cols):
+    """Seeded gates that cross every tile boundary.
+
+    6 qubits fit one tile; 9, 10 and 16 are not multiples of the tile
+    width.  Two-qubit gates join the qubits on either side of every tile
+    boundary, the ends of one tile and the first and last qubits, so runs
+    are flushed from both tiles a gate spans.
+    """
+    n = rows * cols
+    tiles = _tiles(n)
+    pairs = [(q0 - 1, q0) for q0, _ in tiles[1:]] + [(0, n - 1)]
+    pairs += [(q0, q0 + k - 1) for q0, k in tiles if k > 1]
+    gates = _random_gates(np.random.default_rng(n), np.arange(n), pairs, 40 * n)
+    return Circuit(rows, cols, gates)
+
+
+def _replay_clusters(circuit, clusters) -> np.ndarray:
+    """The gates of clusters, in cluster order, on a complex128 state."""
+    n = circuit.n_qubits
+    state = np.zeros(1 << n, dtype=np.complex128)
+    state[0] = 1.0
+    spare = np.empty_like(state)
+    for cl in clusters:
+        for gate in cl.gates:
+            if len(gate.qubits) == 1:
+                _apply_1q(state, gate_matrix(gate), gate.qubits[0], n, spare)
+            else:
+                _apply_2q(state, gate_matrix(gate), *gate.qubits, n, spare)
+            state, spare = spare, state
+    return state
+
+
+def _count_state_ops(monkeypatch, circuit) -> int:
+    """apply_op calls that run_full makes on its 2^n-amplitude array."""
+    calls = 0
+
+    def counting(op, blocks, n_blk):
+        nonlocal calls
+        # _tile_op composes its matrix through apply_op on a (2^k, 2^k) batch
+        calls += blocks[0].shape == (1, 1 << circuit.n_qubits)
+        apply_op(op, blocks, n_blk)
+
+    monkeypatch.setattr(statevec, "apply_op", counting)
+    run_full(circuit)
+    return calls
+
+
+SCHEDULE_CIRCUITS = {
+    f"straddling_{r * c}": (lambda r=r, c=c: _straddling_circuit(r, c))
+    for r, c in [(2, 3), (3, 3), (2, 5), (2, 7), (4, 4)]
+}
+SCHEDULE_CIRCUITS["generated_7"] = lambda: generate(GenSpec(1, 7, 12, "v2", seed=0))
+over_schedule_circuits = pytest.mark.parametrize("name", list(SCHEDULE_CIRCUITS))
 
 
 class TestRunFull:
+    # cluster_gates is the schedule run_full applies
+
+    @over_schedule_circuits
+    def test_every_gate_lands_in_exactly_one_cluster(self, name):
+        circ = SCHEDULE_CIRCUITS[name]()
+        placed = [id(g) for cl in cluster_gates(circ) for g in cl.gates]
+        assert sorted(placed) == sorted(id(g) for g in circ.gates)
+
+    @over_schedule_circuits
+    def test_clusters_are_tile_runs_or_lone_gates(self, name):
+        circ = SCHEDULE_CIRCUITS[name]()
+        n = circ.n_qubits
+        tile_of = {q: t for t, (q0, k) in enumerate(_tiles(n)) for q in range(q0, q0 + k)}
+        for cl in cluster_gates(circ):
+            if cl.tile is not None:
+                q0, k = cl.tile
+                assert all(q0 <= q < q0 + k for g in cl.gates for q in g.qubits)
+                continue
+            (gate,) = cl.gates
+            spans = len({tile_of[q] for q in gate.qubits}) == 2
+            assert spans or n <= 7, (gate, cl)
+
+    @over_schedule_circuits
+    def test_replaying_clusters_in_order_matches_naive(self, name):
+        circ = SCHEDULE_CIRCUITS[name]()
+        got = _replay_clusters(circ, cluster_gates(circ))
+        assert_states_close(got, naive_state(circ), 1e-12)
+
+    @over_schedule_circuits
+    def test_run_full_applies_one_op_per_cluster(self, name, monkeypatch):
+        circ = SCHEDULE_CIRCUITS[name]()
+        assert _count_state_ops(monkeypatch, circ) == len(cluster_gates(circ))
+
     @pytest.mark.parametrize("two_qubit", [GateKind.CZ, GateKind.ISWAP], ids=["CZ", "ISWAP"])
     def test_engine_matches_naive_on_many_small_circuits(self, two_qubit):
         rng = np.random.default_rng(10)
@@ -146,16 +207,7 @@ class TestRunFull:
         "rows, cols", [(2, 3), (3, 3), (2, 5), (2, 7), (4, 4)], ids=["6", "9", "10", "14", "16"]
     )
     def test_gates_straddling_tiles_match_naive(self, rows, cols):
-        # 6 qubits fit one tile; 9, 10 and 16 are not multiples of the
-        # tile width.  Two-qubit gates join the qubits on either side of
-        # every tile boundary, the ends of one tile and the first and last
-        # qubits, so runs are flushed from both tiles a gate spans.
-        n = rows * cols
-        tiles = _tiles(n)
-        pairs = [(q0 - 1, q0) for q0, _ in tiles[1:]] + [(0, n - 1)]
-        pairs += [(q0, q0 + k - 1) for q0, k in tiles if k > 1]
-        gates = _random_gates(np.random.default_rng(n), np.arange(n), pairs, 40 * n)
-        circ = Circuit(rows, cols, gates)
+        circ = _straddling_circuit(rows, cols)
         assert_states_close(run_full(circ).amps, naive_state(circ), 1e-5)
 
     def test_one_tile_applies_gates_directly(self, monkeypatch):
