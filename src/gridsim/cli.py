@@ -53,9 +53,16 @@ def _read_indices(path: str) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
+def _in_state(indices: np.ndarray, n_qubits: int) -> np.ndarray:
+    bad = indices[(indices < 0) | (indices >= 1 << n_qubits)]
+    if bad.size:
+        raise ValueError(f"index {bad[0]:x} is outside the {n_qubits}-qubit state")
+    return indices
+
+
 def _default_indices(circuit: Circuit, amps_file: str | None) -> np.ndarray:
     if amps_file is not None:
-        return _read_indices(amps_file)
+        return _in_state(_read_indices(amps_file), circuit.n_qubits)
     if circuit.n_qubits > MAX_DEFAULT_AMPS_QUBITS:
         raise ValueError(
             f"{circuit.n_qubits} qubits is too many to return every amplitude; "
@@ -214,12 +221,13 @@ def _cmd_plan(args) -> int:
 
 def _cmd_sample(args) -> int:
     batch, header = read_amplitudes(args.amps)
-    n = args.qubits if args.qubits else int(header.get("n_qubits", 0))
-    if n <= 0:
-        raise ValueError("amplitude file has no n_qubits header; pass --qubits")
-    if len(batch.indices) != (1 << n):
+    size = len(batch.indices)
+    n = int(header.get("n_qubits", max(size, 1).bit_length() - 1))
+    distinct = np.unique(_in_state(batch.indices, n)).size
+    if not size == distinct == 1 << n:
         raise ValueError(
-            f"sampling needs every amplitude: file has {len(batch.indices)}, want {1 << n}"
+            f"sampling needs each of the {1 << n} basis states once: "
+            f"file has {size} amplitudes at {distinct} distinct indices"
         )
     probs_by_index = np.zeros(1 << n)
     probs_by_index[batch.indices] = np.abs(batch.amps) ** 2
@@ -257,15 +265,6 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _cmd_merge(args) -> int:
-    circuit = _read_circuit(args.circuit, args.rows, args.cols)
-    indices = _default_indices(circuit, args.amps)
-    plan = _make_plan(args, circuit)
-    batch = merge(circuit, plan, indices, args.shard_dir)
-    _emit_batch(args.out, batch, circuit, args.digits, plan)
-    return 0
-
-
 def _cmd_campaign(args) -> int:
     circuit = _read_circuit(args.circuit, args.rows, args.cols)
     indices = _default_indices(circuit, args.amps)
@@ -274,6 +273,9 @@ def _cmd_campaign(args) -> int:
         st = status(circuit, plan, indices, args.dir)
         print(f"plan {st.plan_hash}: {len(st.done)}/{st.total} shards done, "
               f"{len(st.pending)} pending, complete={st.complete}")
+        return 0
+    if args.action == "merge":
+        _emit_batch(args.out, merge(circuit, plan, indices, args.dir), circuit, args.digits, plan)
         return 0
     result = run_campaign(
         circuit,
@@ -391,23 +393,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=1e-3)
     p.add_argument("--mstar", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--qubits", type=int, default=None)
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("merge", help="fold a directory of shard files")
-    p.add_argument("shard_dir")
-    p.add_argument("--circuit", required=True)
-    p.add_argument("--rows", type=int, default=None)
-    p.add_argument("--cols", type=int, default=None)
-    _add_plan_args(p)
-    p.add_argument("--amps", default=None)
-    p.add_argument("-o", "--out", default=None)
-    p.add_argument("--digits", type=int, default=SHARD_DIGITS)
-    p.set_defaults(func=_cmd_merge)
-
-    p = sub.add_parser("campaign", help="run, resume, or inspect a shard campaign")
-    p.add_argument("action", choices=("run", "status", "resume"))
+    p = sub.add_parser("campaign", help="run, inspect, or merge a shard campaign")
+    p.add_argument("action", choices=("run", "status", "merge"))
     p.add_argument("--circuit", required=True)
     p.add_argument("--rows", type=int, default=None)
     p.add_argument("--cols", type=int, default=None)
@@ -461,6 +451,7 @@ def main(argv=None) -> int:
         CampaignError,
         CostModelError,
         MemoryError,
+        OverflowError,
         validation.ValidationError,
         ValueError,
         OSError,

@@ -3,15 +3,17 @@
 A campaign splits one truncated hybrid run into independent jobs, one per
 retained prefix, executes them in worker processes, and folds the finished
 shard files into a single amplitude batch.  The shard files are the only
-coordination channel: a job counts as done exactly when its file exists and
+coordination channel, and one rule decides them: a job's shard is the file
+its job names (`ShardJob.filename`), and it is done exactly when that file
 checks out, so a campaign killed at any point resumes by running it again
-over the same directory.
+over the same directory.  A file that no job names is never read; the
+merge refuses one that carries the campaign's plan hash in its name.
 
 Shards are exact amplitude files (statevec's base64 form with a sha256 of
 the payload in the header), so a merge over resumed shards is
 bit-identical to an uninterrupted one.  Polling reads only headers and
-checks payload digests; the merge checks every header before it decodes
-each payload exactly once.
+checks payload digests; the merge reads each job's file once, in ascending
+prefix order, and names every job whose shard fails.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ class CampaignError(RuntimeError):
 
 
 class MergeError(CampaignError):
-    """A shard file is missing, foreign, duplicated, or inconsistent."""
+    """A job's shard is missing or fails its checks, or a duplicate names the plan."""
 
 
 def request_hash(requests) -> str:
@@ -90,6 +92,16 @@ class ShardJob:
     def filename(self) -> str:
         return f"{self.plan_hash}.{self.prefix:08x}.amp"
 
+    @property
+    def header(self) -> dict:
+        """The header entries that bind a shard file to this job."""
+        return {
+            "plan": self.plan_hash,
+            "circuit": self.circuit_hash,
+            "requests": self.request_hash,
+            "prefix": str(self.prefix),
+        }
+
 
 def shard(circuit: Circuit, plan: SimPlan, requests) -> list[ShardJob]:
     """One job per retained prefix, each carrying the hashes it must match."""
@@ -100,19 +112,13 @@ def shard(circuit: Circuit, plan: SimPlan, requests) -> list[ShardJob]:
 
 
 def _shard_header_ok(header: dict, job: ShardJob) -> bool:
-    return (
-        header.get("plan") == job.plan_hash
-        and header.get("circuit") == job.circuit_hash
-        and header.get("requests") == job.request_hash
-        and header.get("prefix") == str(job.prefix)
-    )
+    return all(header.get(key) == value for key, value in job.header.items())
 
 
 def _shard_done(shard_dir: str, job: ShardJob) -> bool:
     # header and payload digest only; the amplitudes are not decoded
-    path = os.path.join(shard_dir, job.filename)
     try:
-        header = read_amplitude_header(path, verify=True)
+        header = read_amplitude_header(os.path.join(shard_dir, job.filename))
     except (OSError, ValueError):
         return False
     return _shard_header_ok(header, job)
@@ -156,14 +162,7 @@ def _worker(circuit, plan, requests, jobs, attempts, shard_dir, fault_spec):
         start = time.perf_counter()
         out = run_batched(circuit, plan, requests, prefixes=[job.prefix])
         seconds = time.perf_counter() - start
-        header = {
-            "plan": job.plan_hash,
-            "circuit": job.circuit_hash,
-            "requests": job.request_hash,
-            "prefix": str(job.prefix),
-            "attempt": str(attempt),
-            "seconds": f"{seconds:.6f}",
-        }
+        header = {**job.header, "attempt": str(attempt), "seconds": f"{seconds:.6f}"}
         final = os.path.join(shard_dir, job.filename)
         tmp = _tmp_path(final, os.getpid())
         write_amplitudes(tmp, out, digits=None, header=header)
@@ -324,60 +323,37 @@ def run_campaign(
 
 
 def merge(circuit: Circuit, plan: SimPlan, requests, shard_dir: str) -> AmplitudeBatch:
-    """Verified fold of all shard files for this plan, ascending prefix order."""
+    """Verified fold of each job's own shard file, in ascending prefix order."""
     batch, _ = _merge_verified(circuit, plan, requests, shard_dir)
     return batch
 
 
 def _merge_verified(circuit, plan, requests, shard_dir):
     jobs = shard(circuit, plan, requests)
-    fp = jobs[0].plan_hash
-    by_prefix = {job.prefix: job for job in jobs}
     req = np.asarray(requests, dtype=np.int64)
-
-    # every header is checked before any payload is decoded
-    found: dict[int, str] = {}
-    headers: dict[int, dict] = {}
-    for name in sorted(os.listdir(shard_dir)):
-        if not name.endswith(".amp"):
-            continue
-        try:
-            header = read_amplitude_header(os.path.join(shard_dir, name))
-        except (OSError, ValueError) as exc:
-            raise MergeError(f"unreadable shard file {name}: {exc}")
-        if header.get("plan") != fp:
-            continue  # a different campaign sharing the directory
-        try:
-            prefix = int(header["prefix"])
-        except (KeyError, ValueError):
-            raise MergeError(f"shard file {name} lacks a readable prefix header")
-        if prefix in found:
-            raise MergeError(
-                f"duplicate shard for prefix {prefix}: {found[prefix]} and {name}"
-            )
-        job = by_prefix.get(prefix)
-        if job is None:
-            raise MergeError(f"shard file {name} claims prefix {prefix}, not in this plan")
-        if not _shard_header_ok(header, job):
-            raise MergeError(f"shard file {name} does not match the campaign hashes")
-        found[prefix] = name
-        headers[prefix] = header
-
-    missing = sorted(p for p in by_prefix if p not in found)
-    if missing:
-        shown = ", ".join(str(p) for p in missing[:16])
-        raise MergeError(f"{len(missing)} shards missing: prefixes {shown}", failed=missing)
-
+    strays = sorted(set(os.listdir(shard_dir)) - {job.filename for job in jobs})
+    duplicates = [n for n in strays if n.startswith(jobs[0].plan_hash + ".") and n.endswith(".amp")]
     total = AmplitudeBatch.zeros(req)
-    for prefix in sorted(found):
-        name = found[prefix]
-        if "sha256" not in headers[prefix]:
-            raise MergeError(f"shard file {name} is not an exact shard", failed=[prefix])
+    headers: dict[int, dict] = {}
+    faults: dict[int, str] = {}
+    for job in jobs:  # plan.retained is sorted: ascending prefix order
         try:
-            batch, _ = read_amplitudes(os.path.join(shard_dir, name))
+            batch, header = read_amplitudes(os.path.join(shard_dir, job.filename))
         except (OSError, ValueError) as exc:
-            raise MergeError(f"damaged shard file {name}: {exc}", failed=[prefix])
-        if not np.array_equal(batch.indices, req):
-            raise MergeError(f"shard file {name} answers different request indices")
-        total.amps += batch.amps
+            faults[job.prefix] = "missing" if isinstance(exc, FileNotFoundError) else str(exc)
+            continue
+        if "sha256" not in header:
+            faults[job.prefix] = "not an exact shard"
+        elif not _shard_header_ok(header, job):
+            faults[job.prefix] = "header does not match the job"
+        elif not np.array_equal(batch.indices, req):
+            faults[job.prefix] = "answers different request indices"
+        else:
+            total.amps += batch.amps
+            headers[job.prefix] = header
+    problems = [f"prefix {p}: {why}" for p, why in faults.items()]
+    problems += [f"duplicate shard file {name}" for name in duplicates]
+    if problems:
+        shown = "; ".join(problems[:16])
+        raise MergeError(f"{len(problems)} shard faults: {shown}", failed=list(faults))
     return total, headers

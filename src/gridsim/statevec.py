@@ -385,16 +385,13 @@ def _decode_exact(header: dict, payload) -> AmplitudeBatch:
     )
 
 
-def read_amplitude_header(path, verify: bool = False) -> dict:
-    """The "# key value" header of an amplitude file, without decoding its amplitudes.
-
-    With verify, the payload of an exact file is also checked against its
-    sha256 header, still without decoding it; a mismatch, or a file that
-    is not in the exact form, raises ValueError.
+def read_amplitude_header(path) -> dict:
+    """The "# key value" header of an exact amplitude file, its payload
+    checked against its sha256 header without being decoded; a mismatch,
+    or a file that is not in the exact form, raises ValueError.
     """
     header, body = _read_file(path)
-    if verify:
-        _check_payload(header, body)
+    _check_payload(header, body)
     return header
 
 

@@ -91,6 +91,18 @@ class TestSimulatePathsim:
         assert main(["simulate", str(circ), "--amps", str(idx_file)]) == 1
         assert capsys.readouterr().err.startswith("error: Unable to allocate")
 
+    @pytest.mark.parametrize("index, message", [
+        ("200", "index 200 is outside the 9-qubit state"),
+        ("10000000000000000", "too large"),
+    ], ids=["past-2^n", "past-2^63"])
+    def test_out_of_range_index_is_a_clean_error(self, circuit_file, tmp_path, capsys,
+                                                 index, message):
+        idx_file = tmp_path / "idx.txt"
+        idx_file.write_text(f"0\n{index}\n")
+        assert main(["simulate", str(circuit_file), "--amps", str(idx_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
     def test_index_file_restricts_output(self, circuit_file, tmp_path):
         idx_file = tmp_path / "idx.txt"
         idx_file.write_text("# three requests\n0\nff\n1a0\n")
@@ -189,6 +201,20 @@ class TestSample:
         assert main(["sample", "--amps", str(amp_file), "--count", "5"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new", [("5", "3"), ("5", "10")], ids=["repeated", "past-2^n"])
+    def test_indices_must_cover_each_state_once(self, tmp_path, capsys, old, new):
+        circ = tmp_path / "circ.txt"
+        run_ok(["generate", "--rows", "2", "--cols", "2", "--depth", "5", "-o", str(circ)])
+        amp_file = tmp_path / "state.amp"
+        run_ok(["simulate", str(circ), "-o", str(amp_file)])
+        lines = amp_file.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.split()[0] == old)
+        lines[at] = " ".join([new, *lines[at].split()[1:]])
+        amp_file.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["sample", "--amps", str(amp_file), "--count", "5"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestCampaign:
     def test_run_status_merge_cycle(self, circuit_file, tmp_path, capsys):
@@ -202,7 +228,7 @@ class TestCampaign:
                 "--dir", str(shard_dir), *plan_args])
         assert "complete=True" in capsys.readouterr().out
         merged = tmp_path / "merged.amp"
-        run_ok(["merge", str(shard_dir), "--circuit", str(circuit_file),
+        run_ok(["campaign", "merge", "--dir", str(shard_dir), "--circuit", str(circuit_file),
                 "-o", str(merged), *plan_args])
         direct = tmp_path / "direct.amp"
         run_ok(["pathsim", str(circuit_file), "--digits", "17", "-o", str(direct), *plan_args])
@@ -223,7 +249,8 @@ class TestCampaign:
         capsys.readouterr()
         run_ok(["campaign", "status", "--dir", str(shard_dir), *common])
         assert "complete=True" in capsys.readouterr().out
-        assert main(["merge", str(shard_dir), "-o", str(tmp_path / "m.amp"), *common]) == 0
+        assert main(["campaign", "merge", "--dir", str(shard_dir),
+                     "-o", str(tmp_path / "m.amp"), *common]) == 0
 
     def test_resume_completes_after_loss(self, circuit_file, tmp_path, capsys):
         shard_dir = tmp_path / "shards"
@@ -232,12 +259,21 @@ class TestCampaign:
                 "--dir", str(shard_dir), *plan_args])
         victim = sorted(shard_dir.glob("*.amp"))[0]
         victim.unlink()
-        run_ok(["campaign", "resume", "--circuit", str(circuit_file),
+        run_ok(["campaign", "run", "--circuit", str(circuit_file),
                 "--dir", str(shard_dir), *plan_args])
         capsys.readouterr()
         run_ok(["campaign", "status", "--circuit", str(circuit_file),
                 "--dir", str(shard_dir), *plan_args])
         assert "complete=True" in capsys.readouterr().out
+
+    def test_out_of_range_index_fails_before_any_worker(self, circuit_file, tmp_path, capsys):
+        idx_file = tmp_path / "idx.txt"
+        idx_file.write_text("1ff\n200\n")
+        shard_dir = tmp_path / "shards"
+        assert main(["campaign", "run", "--circuit", str(circuit_file), "--dir", str(shard_dir),
+                     "--amps", str(idx_file), "--fidelity", "0.5", "--xb", "0"]) == 1
+        assert capsys.readouterr().err == "error: index 200 is outside the 9-qubit state\n"
+        assert not shard_dir.exists()
 
 
 class TestValidateProtocol:

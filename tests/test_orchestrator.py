@@ -1,4 +1,5 @@
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -209,6 +210,33 @@ class TestMerge:
         write_amplitudes(src + ".copy.amp", batch, digits=17, header=header)
         with pytest.raises(MergeError, match="duplicate"):
             merge(circuit, plan, requests, shard_dir)
+
+    def test_backup_copy_of_a_shard_is_ignored(self, small, tmp_path):
+        # only the file a job names is that job's shard
+        circuit, plan, requests = small
+        clean = run_campaign(circuit, plan, requests, str(tmp_path / "clean"))
+        shard_dir = str(tmp_path / "backed-up")
+        run_campaign(circuit, plan, requests, shard_dir)
+        name = shard(circuit, plan, requests)[3].filename
+        shutil.copy(os.path.join(shard_dir, name), os.path.join(shard_dir, "backup-" + name))
+        assert status(circuit, plan, requests, shard_dir).complete
+        again = run_campaign(circuit, plan, requests, shard_dir)
+        assert again.rounds == 0
+        assert again.batch.amps.tobytes() == clean.batch.amps.tobytes()
+        assert merge(circuit, plan, requests, shard_dir).amps.tobytes() == clean.batch.amps.tobytes()
+
+    def test_every_bad_shard_is_named(self, small, tmp_path):
+        circuit, plan, requests = small
+        shard_dir = str(tmp_path)
+        run_campaign(circuit, plan, requests, shard_dir)
+        jobs = shard(circuit, plan, requests)
+        _damage_payload(os.path.join(shard_dir, jobs[1].filename), _flip_one_char)
+        os.remove(os.path.join(shard_dir, jobs[4].filename))
+        with pytest.raises(MergeError) as err:
+            merge(circuit, plan, requests, shard_dir)
+        assert err.value.failed == (jobs[1].prefix, jobs[4].prefix)
+        assert f"prefix {jobs[1].prefix}: amplitude payload does not match its sha256" in str(err.value)
+        assert f"prefix {jobs[4].prefix}: missing" in str(err.value)
 
     def test_corrupted_shard_rejected(self, small, tmp_path):
         circuit, plan, requests = small
