@@ -10,7 +10,9 @@ positions are split into tiles of at most _TILE_QUBITS, each run of gates
 inside one tile is one fused matrix, applied by one matmul per slice of
 about 1 MB, and only gates spanning two tiles run as single-gate kernels.
 The path sum lowers one op per gate and runs its prefixes in row tiles of
-about the same size.
+about the same size.  Each single-gate kernel streams runs of at least one
+cache line whatever qubit it targets: shorter runs of a large array are
+applied column by column, as numpy's loops over 1-4 amplitudes cost 2-5x.
 
 Amplitude files come in two forms that share a leading "# key value"
 header.  Text lines ("index_hex re im" at a chosen number of significant
@@ -52,39 +54,59 @@ class StateBlock:
 # Kernels over (rows, 2^n) complex64 arrays, one state per row, qubit 0 in
 # the most significant bit.
 
+# Runs below one 64-byte line (8 complex64) leave numpy inner loops of 1-4
+# amplitudes: on a 28 x 4096 tile (2 vCPUs), one _b_mat1 took 1.35 ms at
+# q=nb-2 and 0.78 ms at q=nb-3, against 0.38-0.45 ms at q <= nb-6.  Each
+# [..., l:l+1] column is one strided loop (0.47 and 0.53 ms), with the same
+# products in the same order.  A column below _COLUMN_AMPS saves less than
+# its calls cost (a 1024-amplitude row at q=nb-3: 16 us whole, 37 by column).
+_LINE_AMPS, _COLUMN_AMPS = 8, 4096
+
+
+def _by_column(view: np.ndarray, body) -> None:
+    """body(view), column by column if its last axis is short and its columns long."""
+    low = view.shape[-1]
+    if low >= _LINE_AMPS or view.size < low * _COLUMN_AMPS:
+        return body(view)
+    for l in range(low):
+        body(view[..., l : l + 1])
+
 
 def _b_view1(arr: np.ndarray, nb: int, q: int):
     return arr.reshape(arr.shape[0], 1 << q, 2, 1 << (nb - 1 - q))
 
 
 def _b_diag1(arr: np.ndarray, nb: int, q: int, d) -> None:
-    view = _b_view1(arr, nb, q)
-    if d.ndim == 2:  # one diagonal per row
-        view *= d.reshape(-1, 1, 2, 1)
-        return
-    # a unit entry leaves its half as it is
-    d0, d1 = d.tolist()
-    if d0 != 1 and d1 != 1:
-        view *= d.reshape(1, 1, 2, 1)
-    elif d0 != 1:
-        view[:, :, 0, :] *= d[0]
-    elif d1 != 1:
-        view[:, :, 1, :] *= d[1]
+    def body(view):
+        # both halves in one pass (d.ndim == 2: one diagonal per row), except
+        # on a column, where that pass would loop over pairs of amplitudes
+        if view.shape[-1] > 1 and (d.ndim == 2 or 1 not in d.tolist()):
+            view *= d.reshape(-1, 1, 2, 1)
+            return
+        for i in (0, 1):
+            if d.ndim == 2:
+                view[:, :, i, :] *= d[:, i, None, None]
+            elif d[i] != 1:  # a unit entry leaves its half as it is
+                view[:, :, i, :] *= d[i]
+
+    _by_column(_b_view1(arr, nb, q), body)
 
 
 def _b_mat1(arr: np.ndarray, nb: int, q: int, u) -> None:
-    view = _b_view1(arr, nb, q)
-    v0 = view[:, :, 0, :]
-    v1 = view[:, :, 1, :]
-    if u.ndim == 2:
-        t0 = u[0, 0] * v0 + u[0, 1] * v1
-        t1 = u[1, 0] * v0 + u[1, 1] * v1
-    else:  # one matrix per row
-        c = u.reshape(-1, 2, 2, 1, 1)
-        t0 = c[:, 0, 0] * v0 + c[:, 0, 1] * v1
-        t1 = c[:, 1, 0] * v0 + c[:, 1, 1] * v1
-    view[:, :, 0, :] = t0
-    view[:, :, 1, :] = t1
+    def body(view):
+        v0 = view[:, :, 0, :]
+        v1 = view[:, :, 1, :]
+        if u.ndim == 2:
+            t0 = u[0, 0] * v0 + u[0, 1] * v1
+            t1 = u[1, 0] * v0 + u[1, 1] * v1
+        else:  # one matrix per row
+            c = u.reshape(-1, 2, 2, 1, 1)
+            t0 = c[:, 0, 0] * v0 + c[:, 0, 1] * v1
+            t1 = c[:, 1, 0] * v0 + c[:, 1, 1] * v1
+        view[:, :, 0, :] = t0
+        view[:, :, 1, :] = t1
+
+    _by_column(_b_view1(arr, nb, q), body)
 
 
 def _b_view2(arr: np.ndarray, nb: int, qa: int, qb: int):
@@ -98,38 +120,35 @@ def _b_diag2(arr: np.ndarray, nb: int, qa: int, qb: int, d4) -> None:
     m = np.asarray(d4).reshape(2, 2)
     if qa > qb:
         m = m.T
-    view = _b_view2(arr, nb, qa, qb)
     (m00, m01), (m10, m11) = m.tolist()
-    if m00 != 1 and m01 != 1 and m10 != 1 and m11 != 1:
-        view *= m.reshape(1, 1, 2, 1, 2, 1)
-        return
-    for i, j, v in ((0, 0, m00), (0, 1, m01), (1, 0, m10), (1, 1, m11)):
-        if v != 1:  # CZ touches one quarter
-            view[:, :, i, :, j, :] *= m[i, j]
+
+    def body(view):
+        if view.shape[-1] > 1 and 1 not in (m00, m01, m10, m11):  # as in _b_diag1
+            view *= m.reshape(1, 1, 2, 1, 2, 1)
+            return
+        for i, j, v in ((0, 0, m00), (0, 1, m01), (1, 0, m10), (1, 1, m11)):
+            if v != 1:  # CZ touches one quarter
+                view[:, :, i, :, j, :] *= m[i, j]
+
+    _by_column(_b_view2(arr, nb, qa, qb), body)
 
 
 def _b_mat2(arr: np.ndarray, nb: int, qa: int, qb: int, u) -> None:
-    view = _b_view2(arr, nb, qa, qb)
     # axis 2 carries the lower local qubit; u is indexed |qa qb>
     swap = qa > qb
-    sub = lambda i, j: view[:, :, j, :, i, :] if swap else view[:, :, i, :, j, :]
-    new = {}
-    for i in (0, 1):
-        for j in (0, 1):
-            acc = None
-            for k in (0, 1):
-                for l in (0, 1):
-                    coeff = complex(u[2 * i + j, 2 * k + l])
-                    if coeff == 0:
-                        continue
-                    part = coeff * sub(k, l)
-                    acc = part if acc is None else acc + part
-            new[i, j] = acc
-    for (i, j), t in new.items():
-        if t is None:
-            sub(i, j)[:] = 0
-        else:
+    coeffs = u.tolist()
+    bits = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+    def body(view):
+        sub = lambda i, j: view[:, :, j, :, i, :] if swap else view[:, :, i, :, j, :]
+        new = []
+        for row in coeffs:  # zero terms are skipped, the rest summed in order
+            parts = [c * sub(k, l) for c, (k, l) in zip(row, bits) if c != 0]
+            new.append(sum(parts[1:], parts[0]) if parts else 0)
+        for (i, j), t in zip(bits, new):
             sub(i, j)[:] = t
+
+    _by_column(_b_view2(arr, nb, qa, qb), body)
 
 
 # The one working-set budget of both engines: a tile op works through the

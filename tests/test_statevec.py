@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,8 @@ from gridsim.circuit import Circuit, Gate, GateKind, gate_matrix, parse_circuit
 from gridsim.statevec import (
     _b_diag1,
     _b_diag2,
+    _b_mat1,
+    _b_mat2,
     _tile_op,
     _tiles,
     apply_op,
@@ -258,6 +261,38 @@ def _random_rows(rng, rows, nb):
     return (z[0] + 1j * z[1]).astype(np.complex64) / np.float32(2 ** (nb / 2))
 
 
+# Every position of a 6-qubit block, and the runs of 1, 2, 4 and 8 amplitudes
+# below the top four positions of a 12-qubit one.
+_POSITIONS = [(6, q) for q in range(6)] + [(12, q) for q in range(8, 12)]
+_PAIRS = [
+    (nb, qa, qb)
+    for nb, qubits in ((6, range(6)), (12, (0, 5, 8, 9, 10, 11)))
+    for qa in qubits
+    for qb in qubits
+    if qa != qb
+]
+# The kernels split runs shorter than a cache line into columns when each
+# column is long (here, at 28 rows of 12 qubits); at 0 they split every one.
+_SPLITS = (statevec._COLUMN_AMPS, 0)
+
+
+def _pair_formula2(arr, nb, qa, qb, u):
+    """u applied as sums over the quarters of the plain (unsplit) view, in
+    the kernel's order and precision; a zero term adds nothing."""
+
+    def quarter(a, i, j):  # the amplitudes with qubit qa at i and qb at j
+        lo, hi = sorted((qa, qb))
+        view = a.reshape(a.shape[0], 1 << lo, 2, 1 << (hi - lo - 1), 2, -1)
+        return view[:, :, j, :, i, :] if qa > qb else view[:, :, i, :, j, :]
+
+    bits = list(itertools.product((0, 1), (0, 1)))
+    out = np.empty_like(arr)
+    for row, (i, j) in zip(u, bits):
+        terms = [complex(c) * quarter(arr, k, l) for c, (k, l) in zip(row, bits)]
+        quarter(out, i, j)[...] = terms[0] + terms[1] + terms[2] + terms[3]
+    return out
+
+
 class TestKernels:
     @pytest.mark.parametrize(
         "nb, q0, k, rows",
@@ -288,32 +323,69 @@ class TestKernels:
         ],
         ids=["T", "P0", "P1", "I", "Z", "no_unit_entry"],
     )
-    def test_diag1_equals_broadcast_multiply(self, d):
+    def test_diag1_equals_broadcast_multiply(self, d, monkeypatch):
         d = d.astype(np.complex64)
-        nb, rows = 6, 3
-        arr = _random_rows(np.random.default_rng(0), rows, nb)
-        for q in range(nb):
+        rng = np.random.default_rng(0)
+        for (nb, q), rows, column_amps in itertools.product(_POSITIONS, (1, 28), _SPLITS):
+            monkeypatch.setattr(statevec, "_COLUMN_AMPS", column_amps)
+            arr = _random_rows(rng, rows, nb)
+            view = arr.reshape(rows, 1 << q, 2, -1)
+            per_row = d * rng.choice([1, 1j, -1], size=(rows, 1)).astype(np.complex64)
+            for diag, want in (
+                (d, view * d.reshape(1, 1, 2, 1)),
+                (per_row, view * per_row.reshape(rows, 1, 2, 1)),
+            ):
+                got = arr.copy()
+                _b_diag1(got, nb, q, diag)
+                assert np.array_equal(got, want.reshape(rows, -1)), (nb, q, rows, column_amps)
+
+    @pytest.mark.parametrize("per_row", [False, True], ids=["one_matrix", "per_row_stack"])
+    def test_mat1_equals_pair_formula(self, per_row, monkeypatch):
+        rng = np.random.default_rng(2)
+        for (nb, q), rows, column_amps in itertools.product(_POSITIONS, (1, 28), _SPLITS):
+            monkeypatch.setattr(statevec, "_COLUMN_AMPS", column_amps)
+            arr = _random_rows(rng, rows, nb)
+            view = arr.reshape(rows, 1 << q, 2, -1)
+            v0, v1 = view[:, :, 0], view[:, :, 1]
+            if per_row:
+                u = np.stack([_random_unitary(rng, 2) for _ in range(rows)]).astype(np.complex64)
+                c = u.reshape(rows, 2, 2, 1, 1)
+                want = [c[:, i, 0] * v0 + c[:, i, 1] * v1 for i in (0, 1)]
+            else:
+                u = _random_unitary(rng, 2).astype(np.complex64)
+                want = [u[i, 0] * v0 + u[i, 1] * v1 for i in (0, 1)]
             got = arr.copy()
-            _b_diag1(got, nb, q, d)
-            want = arr.reshape(rows, 1 << q, 2, -1) * d.reshape(1, 1, 2, 1)
-            assert np.array_equal(got, want.reshape(rows, -1))
+            _b_mat1(got, nb, q, u)
+            want = np.stack(want, axis=2).reshape(rows, -1)
+            assert np.array_equal(got, want), (nb, q, rows, column_amps)
+
+    @pytest.mark.parametrize("kind", [GateKind.ISWAP, GateKind.GENERIC_2Q], ids=["iSWAP", "g2"])
+    def test_mat2_equals_pair_formula(self, kind, monkeypatch):
+        rng = np.random.default_rng(3)
+        matrix = _random_unitary(rng, 4) if kind is GateKind.GENERIC_2Q else None
+        u = gate_matrix(Gate(0, kind, (0, 1), matrix))
+        for (nb, qa, qb), rows, column_amps in itertools.product(_PAIRS, (1, 28), _SPLITS):
+            monkeypatch.setattr(statevec, "_COLUMN_AMPS", column_amps)
+            arr = _random_rows(rng, rows, nb)
+            got = arr.copy()
+            _b_mat2(got, nb, qa, qb, u)
+            want = _pair_formula2(arr, nb, qa, qb, u)
+            assert np.array_equal(got, want), (nb, qa, qb, rows, column_amps)
 
     @pytest.mark.parametrize(
         "d4", [np.array([1, 1, 1, -1]), np.array([1, 1j, 1, -1])], ids=["CZ", "asymmetric"]
     )
-    def test_diag2_equals_broadcast_multiply(self, d4):
+    def test_diag2_equals_broadcast_multiply(self, d4, monkeypatch):
         d4 = d4.astype(np.complex64)
-        nb, rows = 6, 3
-        arr = _random_rows(np.random.default_rng(1), rows, nb)
-        bits = (np.arange(1 << nb)[:, None] >> (nb - 1 - np.arange(nb))) & 1
-        for qa in range(nb):
-            for qb in range(nb):
-                if qa == qb:
-                    continue
-                got = arr.copy()
-                _b_diag2(got, nb, qa, qb, d4)
-                want = arr * d4[2 * bits[:, qa] + bits[:, qb]]
-                assert np.array_equal(got, want), (qa, qb)
+        rng = np.random.default_rng(1)
+        for (nb, qa, qb), rows, column_amps in itertools.product(_PAIRS, (1, 28), _SPLITS):
+            monkeypatch.setattr(statevec, "_COLUMN_AMPS", column_amps)
+            arr = _random_rows(rng, rows, nb)
+            bits = (np.arange(1 << nb)[:, None] >> (nb - 1 - np.arange(nb))) & 1
+            got = arr.copy()
+            _b_diag2(got, nb, qa, qb, d4)
+            want = arr * d4[2 * bits[:, qa] + bits[:, qb]]
+            assert np.array_equal(got, want), (nb, qa, qb, rows, column_amps)
 
 
 class TestAmplitudeIO:
