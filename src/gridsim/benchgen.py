@@ -97,6 +97,14 @@ def layer_schedule(rows: int, cols: int, version: str) -> list[list[tuple[int, i
     return [_pattern_pairs(rows, cols, *key) for key in order]
 
 
+def _v1_fill(previous: GateKind | None, rng) -> GateKind:
+    """A first T, then any fill gate but the qubit's previous one."""
+    if previous is None:
+        return GateKind.T
+    options = [g for g in _FILL_GATES if g is not previous]
+    return options[int(rng.integers(len(options)))]
+
+
 def generate(spec: GenSpec) -> Circuit:
     """Deterministic instance for a GenSpec; the seed drives only gate fills.
 
@@ -117,15 +125,21 @@ def generate(spec: GenSpec) -> Circuit:
     last_cycle = [0] * n
     last_1q: list[GateKind | None] = [None] * n  # most recent non-H one-qubit gate
 
+    def place(q: int, kind: GateKind) -> None:
+        gates.append(Gate(cycle, kind, (q,)))
+        last_kind[q] = kind
+        last_cycle[q] = cycle
+        last_1q[q] = kind
+
     for t in range(spec.depth):
         cycle = t + 1
         pairs = layers[t % 8]
         busy = set()
+        start = len(gates)
         for a, b in pairs:
             gates.append(Gate(cycle, spec.two_qubit, (a, b)))
             busy.add(a)
             busy.add(b)
-        placed = False
         for q in range(n):
             if q in busy:
                 last_kind[q] = spec.two_qubit
@@ -144,28 +158,12 @@ def generate(spec: GenSpec) -> Circuit:
             else:
                 if prev not in TWO_QUBIT_KINDS:
                     continue  # v1 fills only directly after a two-qubit gate
-                if last_1q[q] is None:
-                    kind = GateKind.T
-                else:
-                    options = [g for g in _FILL_GATES if g is not last_1q[q]]
-                    kind = options[int(rng.integers(len(options)))]
-            gates.append(Gate(cycle, kind, (q,)))
-            last_kind[q] = kind
-            last_cycle[q] = cycle
-            last_1q[q] = kind
-            placed = True
-        if not pairs and not placed:
+                kind = _v1_fill(last_1q[q], rng)
+            place(q, kind)
+        if len(gates) == start:
             # Degenerate small grids can starve a cycle; keep cycles contiguous.
             for q in range(n):
-                if last_1q[q] is None:
-                    kind = GateKind.T
-                else:
-                    options = [g for g in _FILL_GATES if g is not last_1q[q]]
-                    kind = options[int(rng.integers(len(options)))]
-                gates.append(Gate(cycle, kind, (q,)))
-                last_kind[q] = kind
-                last_cycle[q] = cycle
-                last_1q[q] = kind
+                place(q, _v1_fill(last_1q[q], rng))
 
     if spec.version == "v2":  # only v2 closes with a Hadamard layer
         final = spec.depth + 1

@@ -22,6 +22,7 @@ from .costmodel import CostModelError, CostParams, forecast, plan_digits
 from .orchestrator import SHARD_DIGITS, CampaignError, merge, run_campaign, status
 from .pathsum import make_plan, run_approx
 from .sampler import (
+    PT_MIN_COUNT,
     SampleRequest,
     SamplingError,
     committed_indices,
@@ -130,22 +131,9 @@ def _cmd_audit(args) -> int:
         json.dump(report.as_dict(), sys.stdout, indent=2)
         sys.stdout.write("\n")
         return 0
-    d = report.as_dict()
-    for key in (
-        "n_qubits",
-        "n_cycles",
-        "total_gates",
-        "t_count",
-        "two_qubit_count",
-        "czt_runs",
-        "has_final_h",
-        "repeat_violations",
-        "cut_orientation",
-        "cut_position",
-        "cross_gates",
-        "path_space",
-    ):
-        print(f"{key} {d[key]}")
+    for key, value in report.as_dict().items():
+        if not isinstance(value, list):  # block_sizes and per_cut_cross: --json only
+            print(f"{key} {value}")
     return 0
 
 
@@ -259,7 +247,7 @@ def _cmd_sample(args) -> int:
         "tail_mass": float(drawn.measured_tail_mass),
         "ks_statistic": None,
     }
-    if len(probs) >= 10000:
+    if len(probs) >= PT_MIN_COUNT:
         summary["ks_statistic"] = porter_thomas_fit(probs).ks_statistic
     print(json.dumps(summary), file=sys.stderr)
     return 0

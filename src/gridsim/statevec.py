@@ -387,14 +387,18 @@ def _read_file(path) -> tuple[dict, memoryview]:
     return header, memoryview(data)[pos:stop]
 
 
-def _check_payload(header: dict, payload) -> None:
+def _check_payload(header: dict, payload) -> int:
+    """The payload's amplitude count, once it matches the sha256 and count headers."""
     if hashlib.sha256(payload).hexdigest() != header.get("sha256"):
         raise ValueError("amplitude payload does not match its sha256 header")
+    count = int(header.get("count", ""))
+    if len(payload) != 4 * _EXACT_BYTES // 3 * count:  # 24 bytes: 32 base64 characters
+        raise ValueError(f"exact payload holds {len(payload)} characters, not {count} amplitudes")
+    return count
 
 
 def _decode_exact(header: dict, payload) -> AmplitudeBatch:
-    _check_payload(header, payload)
-    count = int(header.get("count", ""))
+    count = _check_payload(header, payload)
     raw = binascii.a2b_base64(payload)
     if len(raw) != _EXACT_BYTES * count:
         raise ValueError(f"exact payload holds {len(raw)} bytes, not {count} amplitudes")
@@ -406,8 +410,8 @@ def _decode_exact(header: dict, payload) -> AmplitudeBatch:
 
 def read_amplitude_header(path) -> dict:
     """The "# key value" header of an exact amplitude file, its payload
-    checked against its sha256 header without being decoded; a mismatch,
-    or a file that is not in the exact form, raises ValueError.
+    checked against its sha256 and count headers without being decoded; a
+    mismatch, or a file that is not in the exact form, raises ValueError.
     """
     header, body = _read_file(path)
     _check_payload(header, body)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gridsim.benchgen import GenSpec, audit, generate, instance_filename, layer_schedule
-from gridsim.circuit import CircuitError, GateKind, serialize_circuit
+from gridsim.circuit import CircuitError, GateKind, circuit_hash, serialize_circuit
 from gridsim.pathsum import make_plan
 
 
@@ -166,6 +166,45 @@ class TestDeterminism:
         np.random.seed(1234)
         generate(GenSpec(3, 4, 12, "v2", seed=0))
         assert np.random.random() == expect
+
+
+# circuit_hash of GenSpec(rows, cols, 40, version, seed=0): a change in how the
+# generator draws fills would silently change every stored instance
+_LINE_GRID_HASHES = {
+    (1, 2, "v1"): "9ea54827520646fc",
+    (1, 2, "v2"): "a2676906435e72a1",
+    (1, 3, "v1"): "cb3e8c02ae97c32c",
+    (1, 3, "v2"): "2a8a2fe3c4677310",
+}
+
+
+class TestLineGrids:
+    """1xN grids leave most two-qubit layers empty, so cycles can starve."""
+
+    @pytest.mark.parametrize("rows,cols,version", list(_LINE_GRID_HASHES))
+    def test_starved_cycles_fill_every_qubit(self, rows, cols, version):
+        circ = generate(GenSpec(rows, cols, 40, version, seed=0))
+        assert circuit_hash(circ) == _LINE_GRID_HASHES[rows, cols, version]
+        n = rows * cols
+        by_cycle = {}
+        for g in circ.gates:
+            by_cycle.setdefault(g.cycle, []).append(g)
+        assert sorted(by_cycle) == list(range(circ.n_cycles))
+        layers = layer_schedule(rows, cols, version)
+        fills = {GateKind.T, GateKind.X_HALF, GateKind.Y_HALF}
+        starved = 0
+        for cycle in range(1, 41):
+            before = {g.qubits[0]: g.kind for g in by_cycle[cycle - 1] if len(g.qubits) == 1}
+            woken = any(len(g.qubits) == 2 for g in by_cycle[cycle - 1])
+            if version == "v2":  # a qubit whose last gate was not a T takes a fill
+                woken = woken or any(before.get(q, GateKind.T) is not GateKind.T for q in range(n))
+            if layers[(cycle - 1) % 8] or woken:
+                continue
+            starved += 1
+            gates = by_cycle[cycle]
+            assert sorted(g.qubits for g in gates) == [(q,) for q in range(n)]
+            assert all(g.kind in fills for g in gates)
+        assert starved > 0
 
 
 class TestSpecValidation:

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gridsim
 from gridsim.cli import main
 from gridsim.costmodel import CostParams, total_seconds
 from gridsim.sampler import SampleRequest, committed_indices, sample_basic
@@ -20,6 +24,15 @@ def circuit_file(tmp_path):
 
 def run_ok(argv):
     assert main(argv) == 0
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.stats alone cost about a second of every command's start-up
+    code = "import sys, gridsim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gridsim.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestGenerate:

@@ -342,3 +342,23 @@ class TestExactShards:
         _damage_payload(os.path.join(shard_dir, victim.filename), lambda p: p[: len(p) // 2])
         with pytest.raises(MergeError):
             merge(circuit, plan, requests, shard_dir)
+
+    def test_count_header_disagreeing_with_payload_is_pending_and_recomputed(self, small, tmp_path):
+        circuit, plan, requests = small
+        clean = run_campaign(circuit, plan, requests, str(tmp_path / "clean"))
+        shard_dir = str(tmp_path / "edited")
+        run_campaign(circuit, plan, requests, shard_dir)
+        victim = shard(circuit, plan, requests)[1]
+        path = os.path.join(shard_dir, victim.filename)
+        text = open(path).read()
+        line = f"# count {len(requests)}\n"
+        assert text.count(line) == 1
+        with open(path, "w") as f:  # payload and its sha256 left intact
+            f.write(text.replace(line, f"# count {len(requests) + 1}\n"))
+        assert status(circuit, plan, requests, shard_dir).pending == (victim.prefix,)
+        with pytest.raises(MergeError, match=f"prefix {victim.prefix}: ") as err:
+            merge(circuit, plan, requests, shard_dir)
+        assert err.value.failed == (victim.prefix,)
+        again = run_campaign(circuit, plan, requests, shard_dir)
+        assert again.rounds == 1
+        assert again.batch.amps.tobytes() == clean.batch.amps.tobytes()

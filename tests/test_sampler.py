@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gridsim.benchgen import GenSpec, generate
 from gridsim.sampler import (
     BOOTSTRAP_RESAMPLES,
     SampleRequest,
@@ -17,6 +18,7 @@ from gridsim.sampler import (
     sample_frugal,
     tail_mass,
 )
+from gridsim.statevec import run_full
 
 
 class TestPlanBasic:
@@ -226,6 +228,17 @@ class TestPorterThomasFit:
     def test_rejects_small_batches(self):
         with pytest.raises(SamplingError):
             porter_thomas_fit(np.full(100, 1e-3))
+
+    def test_closed_form_matches_scipy_kstest(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(11)
+        batches = [rng.exponential(1.0, size=size) for size in (10000, 33333, 100000)]
+        batches.append(rng.random(20000))
+        state = run_full(generate(GenSpec(4, 4, 20, "v2", seed=0))).amps
+        batches.append(np.abs(state.astype(np.complex128)) ** 2)
+        for p in batches:
+            ref = stats.kstest(p / p.mean(), "expon").statistic
+            assert abs(porter_thomas_fit(p).ks_statistic - ref) <= 1e-15
 
 
 def _one_shot_tail_sigma(probs, n_qubits, m_star, seed):
