@@ -14,6 +14,12 @@ the payload in the header), so a merge over resumed shards is
 bit-identical to an uninterrupted one.  Polling reads only headers and
 checks payload digests; the merge reads each job's file once, in ascending
 prefix order, and names every job whose shard fails.
+
+The round number is the campaign's only clock: round r runs every job
+still pending, so it is each such job's r-th attempt.  A shard's header
+binds it to its job by plan hash and prefix, and its `attempt` entry is
+the round that wrote it; a `fault_spec` entry counts the rounds, from
+the first, in which that job dies.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ class CampaignError(RuntimeError):
     def __init__(self, message: str, failed=(), exit_codes=None):
         super().__init__(message)
         self.failed = tuple(int(p) for p in failed)
-        # prefix -> exit code of the worker that ran its last attempt
+        # prefix -> exit code of the worker whose share held it in the last round
         self.exit_codes = dict(exit_codes or {})
 
 
@@ -81,12 +87,10 @@ def plan_hash(circuit: Circuit, plan: SimPlan, requests) -> str:
 
 @dataclass(frozen=True)
 class ShardJob:
-    """Self-describing unit of campaign work: one retained prefix."""
+    """Self-describing unit of campaign work: one retained prefix of one plan."""
 
     prefix: int
     plan_hash: str
-    circuit_hash: str
-    request_hash: str
 
     @property
     def filename(self) -> str:
@@ -95,20 +99,13 @@ class ShardJob:
     @property
     def header(self) -> dict:
         """The header entries that bind a shard file to this job."""
-        return {
-            "plan": self.plan_hash,
-            "circuit": self.circuit_hash,
-            "requests": self.request_hash,
-            "prefix": str(self.prefix),
-        }
+        return {"plan": self.plan_hash, "prefix": str(self.prefix)}
 
 
 def shard(circuit: Circuit, plan: SimPlan, requests) -> list[ShardJob]:
-    """One job per retained prefix, each carrying the hashes it must match."""
+    """One job per retained prefix, each carrying the plan hash it must match."""
     fp = plan_hash(circuit, plan, requests)
-    ch = circuit_hash(circuit)
-    rh = request_hash(requests)
-    return [ShardJob(int(p), fp, ch, rh) for p in plan.retained]
+    return [ShardJob(int(p), fp) for p in plan.retained]
 
 
 def _shard_header_ok(header: dict, job: ShardJob) -> bool:
@@ -150,15 +147,15 @@ def status(circuit: Circuit, plan: SimPlan, requests, shard_dir: str) -> Campaig
     return CampaignStatus(jobs[0].plan_hash, len(jobs), tuple(done), tuple(pending))
 
 
-def _worker(circuit, plan, requests, jobs, attempts, shard_dir, fault_spec):
-    """Child-process entry point: run assigned jobs, commit via atomic rename.
+def _worker(circuit, plan, requests, jobs, attempt, shard_dir, fault_spec):
+    """Child-process entry point: run assigned jobs in order, commit each via
+    atomic rename, and write the round number `attempt` into each header.
 
-    fault_spec maps prefix to the number of early attempts that must die
-    mid-commit (after the temporary file, before the rename).  It exists so
-    tests can kill jobs exactly the way a preempted node would.
+    fault_spec maps prefix to the number of early rounds whose run of that
+    job must die mid-commit (after the temporary file, before the rename).
+    It exists so tests can kill jobs exactly the way a preempted node would.
     """
     for job in jobs:
-        attempt = attempts[job.prefix] + 1
         start = time.perf_counter()
         out = run_batched(circuit, plan, requests, prefixes=[job.prefix])
         seconds = time.perf_counter() - start
@@ -180,10 +177,13 @@ class CampaignResult:
     batch: AmplitudeBatch
     plan_hash: str
     wall_seconds: float
-    rounds: int
     workers: int
     per_job_seconds: dict[int, float]
     child_exit_codes: list[list[int]]  # one list per round, one code per worker
+
+    @property
+    def rounds(self) -> int:
+        return len(self.child_exit_codes)
 
     @property
     def job_seconds_total(self) -> float:
@@ -239,14 +239,14 @@ def run_campaign(
 
     Valid shard files already present are kept as-is, so calling this again
     after an interruption resumes the campaign.  The coordinator is a
-    single-threaded poller: it learns about progress only by re-reading the
-    shard directory after each round of workers exits.  A job assigned more
-    than `retry_limit` extra times without producing a valid shard aborts
-    the campaign; the attempt counter ticks per assignment, so jobs that a
-    dying sibling kept from running count those rounds too.  The error
-    names the exit code of the worker that ran each failed job's last
-    attempt.  After each round the temporary files of this round's workers
-    are removed, whether or not they were committed.
+    single-threaded poller: each round splits every pending job among the
+    workers, and progress is learnt only by re-reading the shard directory
+    once they exit.  At most `retry_limit + 1` rounds run; jobs still
+    pending after them abort the campaign with a CampaignError that names
+    every one, the exit code of its worker in the last round, and the job
+    each worker stopped on (a worker runs its share in order, so it never
+    reached the rest).  After each round the temporary files of this
+    round's workers are removed, whether or not they were committed.
     """
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
@@ -254,55 +254,31 @@ def run_campaign(
     start = time.perf_counter()
     jobs = shard(circuit, plan, requests)
     by_prefix = {job.prefix: job for job in jobs}
-    attempts = {job.prefix: 0 for job in jobs}
-    last_exit: dict[int, int] = {}
     child_exit_codes: list[list[int]] = []
     ctx = multiprocessing.get_context("fork")
-    rounds = 0
+    procs: list = []
     while True:
         _, pending = _scan(jobs, shard_dir)
         if not pending:
             break
-        over = sorted(p for p in pending if attempts[p] > retry_limit)
-        if over:
-            codes = {p: last_exit.get(p) for p in over}
-            shown = ", ".join(f"{p} (exit code {codes[p]})" for p in over[:16])
-            raise CampaignError(
-                f"{len(over)} shard jobs failed after {retry_limit} retries: prefixes {shown}",
-                failed=over,
-                exit_codes=codes,
-            )
-        rounds += 1
+        if len(child_exit_codes) > retry_limit:
+            raise _unfinished(pending, procs, len(child_exit_codes))
         assigned = [by_prefix[p] for p in pending]
         n_procs = min(workers, len(assigned))
+        attempt = len(child_exit_codes) + 1
         procs = []
         for w in range(n_procs):
             share = assigned[w::n_procs]
-            proc = ctx.Process(
-                target=_worker,
-                args=(
-                    circuit,
-                    plan,
-                    requests,
-                    share,
-                    dict(attempts),
-                    shard_dir,
-                    fault_spec or {},
-                ),
-            )
+            args = (circuit, plan, requests, share, attempt, shard_dir, fault_spec or {})
+            proc = ctx.Process(target=_worker, args=args)
             proc.start()
             procs.append((proc, share))
-        codes = []
         for proc, share in procs:
             proc.join()
-            codes.append(proc.exitcode)
             for job in share:
-                last_exit[job.prefix] = proc.exitcode
                 with contextlib.suppress(FileNotFoundError):
                     os.remove(_tmp_path(os.path.join(shard_dir, job.filename), proc.pid))
-        child_exit_codes.append(codes)
-        for p in pending:
-            attempts[p] += 1
+        child_exit_codes.append([proc.exitcode for proc, _ in procs])
 
     batch, headers = _merge_verified(circuit, plan, requests, shard_dir)
     per_job = {p: float(h.get("seconds", "nan")) for p, h in headers.items()}
@@ -310,7 +286,6 @@ def run_campaign(
         batch=batch,
         plan_hash=jobs[0].plan_hash,
         wall_seconds=time.perf_counter() - start,
-        rounds=rounds,
         workers=workers,
         per_job_seconds=per_job,
         child_exit_codes=child_exit_codes,
@@ -320,6 +295,25 @@ def run_campaign(
             json.dump(result.report(forecast_seconds), f, indent=2)
             f.write("\n")
     return result
+
+
+def _unfinished(pending, last_round, rounds: int) -> CampaignError:
+    # every pending job was in a share of the last round; its worker stopped
+    # on the first job of the share still pending and never reached the rest
+    code = {job.prefix: proc.exitcode for proc, share in last_round for job in share}
+    unfinished = set(pending)
+    stopped = []
+    for proc, share in last_round:
+        left = [job.prefix for job in share if job.prefix in unfinished]
+        if left:
+            stopped.append(f"{left[0]} (exit code {proc.exitcode})")
+    message = (
+        f"{len(pending)} shard jobs unfinished after {rounds} rounds: "
+        f"workers stopped on prefixes {', '.join(stopped) or 'none'}"
+    )
+    if len(pending) > len(stopped):
+        message += f"; {len(pending) - len(stopped)} more not reached"
+    return CampaignError(message, failed=pending, exit_codes={p: code.get(p) for p in pending})
 
 
 def merge(circuit: Circuit, plan: SimPlan, requests, shard_dir: str) -> AmplitudeBatch:

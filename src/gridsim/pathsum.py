@@ -6,11 +6,11 @@ A path assigns one decomposition term to each cross gate; its digits form
 a mixed-radix number ordered by cycle.  The first x_p digits are the
 prefix, the rest the branch.  Prefixes run in row tiles sized to
 statevec's slice budget: a tile simulates both blocks up to the first
-branch gate, and every branch completion works on its own copy of that
-tile.  Fidelity-controlled truncation keeps a seeded uniform subset of
-prefixes: retaining a fraction f of the path space yields a state whose
-squared norm, and whose fidelity against the exact state, are both close
-to f for chaotic circuits.
+branch gate, and every branch completion but the last works on its own
+copy of that tile; the last works on the tile itself.  Fidelity-controlled
+truncation keeps a seeded uniform subset of prefixes: retaining a fraction
+f of the path space yields a state whose squared norm, and whose fidelity
+against the exact state, are both close to f for chaotic circuits.
 
 `seeded_subset` is the one selector of seeded distinct ids: it picks the
 retained prefixes here and the verifier's challenge indices in validate.
@@ -34,15 +34,7 @@ from .circuit import (
     gate_matrix,
 )
 from . import statevec
-from .statevec import (
-    ACC_DTYPE,
-    AmplitudeBatch,
-    DTYPE,
-    _b_diag1,
-    _b_mat1,
-    apply_op,
-    lower_gate,
-)
+from .statevec import ACC_DTYPE, AmplitudeBatch, DTYPE, apply_op, lower_gate
 
 _P0 = np.diag([1.0, 0.0]).astype(np.complex128)
 _P1 = np.diag([0.0, 1.0]).astype(np.complex128)
@@ -171,20 +163,20 @@ def _lower_uncached(circuit: Circuit, cut: Cut):
             left, right = zip(*schmidt_decompose(g).terms)
             mats_a, mats_b = (left, right) if first_in_a else (right, left)
             ops.append(("cross", len(cross)))
-            cross.append((_term_table(local_a, mats_a), _term_table(local_b, mats_b)))
+            cross.append((_term_table(0, local_a, mats_a), _term_table(1, local_b, mats_b)))
             continue
         blk, pos = (0, pos_a) if side == "a" else (1, pos_b)
         ops.append(lower_gate(g, blk, pos))
     return ops, cross
 
 
-def _term_table(q: int, mats) -> tuple[int, np.ndarray, bool]:
-    # per-digit operator stack for one side of one cross gate:
-    # (local qubit, (rank, 2) diag stack or (rank, 2, 2) matrix stack, is_diag)
+def _term_table(blk: int, q: int, mats) -> tuple:
+    # one side of one cross gate as a one-qubit op whose operator is the
+    # per-digit stack: ("diag1", blk, q, (rank, 2)) or ("mat1", blk, q, (rank, 2, 2))
     stack = np.stack(mats)
     if not np.any(stack[:, 0, 1]) and not np.any(stack[:, 1, 0]):
-        return q, stack.diagonal(axis1=1, axis2=2).astype(DTYPE), True
-    return q, stack.astype(DTYPE), False
+        return "diag1", blk, q, stack.diagonal(axis1=1, axis2=2).astype(DTYPE)
+    return "mat1", blk, q, stack.astype(DTYPE)
 
 
 @dataclass
@@ -320,14 +312,10 @@ def _exec_ops_batched(ops, blocks, n_blk, digits, cross) -> None:
     for op in ops:
         if op[0] != "cross":
             apply_op(op, blocks, n_blk)
-        else:
-            dk = digits[op[1]]
-            for blk, (q, table, diag) in zip((0, 1), cross[op[1]]):
-                sel = table[dk]
-                if diag:
-                    _b_diag1(blocks[blk], n_blk[blk], q, sel)
-                else:
-                    _b_mat1(blocks[blk], n_blk[blk], q, sel)
+            continue
+        dk = digits[op[1]]
+        for kind, blk, q, table in cross[op[1]]:
+            apply_op((kind, blk, q, table[dk]), blocks, n_blk)
 
 
 def _digit_columns(ids: np.ndarray, radices) -> dict:
@@ -352,9 +340,11 @@ def run_batched(
 
     Prefixes advance in row tiles, two (rows, 2^q) arrays sized so that
     both fit statevec's slice budget; cross-gate digits select per-row
-    one-qubit operators. A tile runs up to the first branch gate once,
-    and each branch completion (a single one when x_b == 0) runs on a
-    fresh copy of it, so prefixes=[p] is the work of one campaign job.
+    one-qubit operators. A tile runs up to the first branch gate once;
+    each branch completion but the last runs on a fresh copy of it, the
+    last (the only one when x_b == 0) on the tile itself, and each copy is
+    released before the next is made.  prefixes=[p] is the work of one
+    campaign job.
     When the request set covers most of the joint space the two blocks are
     contracted with a matrix product instead of per-request gathers.
     """
@@ -375,6 +365,7 @@ def run_batched(
     tile_rows = max(1, statevec._SLICE_BYTES // (np.dtype(DTYPE).itemsize * (na + nb)))
     n_blk = (cut.n_a, cut.n_b)
     branch_digits = _digit_columns(np.arange(plan.branch_space), plan.radices[x_p:])
+    last = plan.branch_space - 1
 
     def land(blocks):
         if use_joint:
@@ -394,11 +385,12 @@ def run_batched(
         blocks[1][:, 0] = 1.0
         _exec_ops_batched(ops[:split_at], blocks, n_blk, digits, cross)
         for branch in range(plan.branch_space):
-            work = [b.copy() for b in blocks]
+            work = blocks if branch == last else [b.copy() for b in blocks]
             for k, col in branch_digits.items():
                 digits[x_p + k] = col[branch]
             _exec_ops_batched(ops[split_at:], work, n_blk, digits, cross)
             land(work)
+            del work
 
     out = AmplitudeBatch.zeros(requests)
     out.amps[:] = joint[idx_a, idx_b] if use_joint else acc

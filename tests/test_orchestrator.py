@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from gridsim.benchgen import GenSpec, generate
+from gridsim.circuit import circuit_hash
 from gridsim.orchestrator import (
     CampaignError,
     MergeError,
     merge,
+    request_hash,
     run_campaign,
     shard,
     status,
@@ -118,6 +120,33 @@ class TestRunCampaign:
         assert err.value.exit_codes[doomed] == 3
         assert f"{doomed} (exit code 3)" in str(err.value)
 
+    def test_abort_names_the_job_each_worker_stopped_on(self, small, tmp_path):
+        # the one worker dies on the first job of its share in both rounds,
+        # so the other 15 jobs never ran
+        circuit, plan, requests = small
+        doomed = int(plan.retained[0])
+        with pytest.raises(CampaignError) as err:
+            run_campaign(circuit, plan, requests, str(tmp_path), retry_limit=1, fault_spec={doomed: 99})
+        n = len(plan.retained)
+        assert str(err.value) == (
+            f"{n} shard jobs unfinished after 2 rounds: "
+            f"workers stopped on prefixes {doomed} (exit code 3); {n - 1} more not reached"
+        )
+        assert err.value.failed == tuple(int(p) for p in plan.retained)
+        assert set(err.value.exit_codes.values()) == {3}
+        assert not [name for name in os.listdir(tmp_path) if name.endswith(".amp")]
+
+    def test_each_shard_records_the_round_that_wrote_it(self, small, tmp_path):
+        circuit, plan, requests = small
+        victims = {int(p) for p in plan.retained[::2]}
+        result = run_campaign(
+            circuit, plan, requests, str(tmp_path), workers=2, fault_spec=dict.fromkeys(victims, 1)
+        )
+        assert result.rounds == len(result.child_exit_codes) == 2
+        for job in shard(circuit, plan, requests):
+            _, header = read_amplitudes(os.path.join(tmp_path, job.filename))
+            assert header["attempt"] == ("2" if job.prefix in victims else "1")
+
     def test_raising_worker_names_exit_code_1(self, small, tmp_path, monkeypatch):
         circuit, plan, requests = small
 
@@ -224,6 +253,23 @@ class TestMerge:
         assert again.rounds == 0
         assert again.batch.amps.tobytes() == clean.batch.amps.tobytes()
         assert merge(circuit, plan, requests, shard_dir).amps.tobytes() == clean.batch.amps.tobytes()
+
+    def test_shards_that_also_bind_circuit_and_requests_still_count(self, small, tmp_path):
+        # shards whose headers also carry the circuit and request hashes,
+        # which the plan hash already binds
+        circuit, plan, requests = small
+        shard_dir = str(tmp_path)
+        clean = run_campaign(circuit, plan, requests, shard_dir).batch
+        extra = {"circuit": circuit_hash(circuit), "requests": request_hash(requests)}
+        for job in shard(circuit, plan, requests):
+            path = os.path.join(shard_dir, job.filename)
+            batch, header = read_amplitudes(path)
+            header = {"plan": header.pop("plan"), **extra, **header}
+            write_amplitudes(path, batch, digits=None, header=header)
+            assert (tmp_path / job.filename).read_text().startswith(f"# plan {job.plan_hash}\n# circuit ")
+        assert status(circuit, plan, requests, shard_dir).complete
+        assert merge(circuit, plan, requests, shard_dir).amps.tobytes() == clean.amps.tobytes()
+        assert run_campaign(circuit, plan, requests, shard_dir).rounds == 0
 
     def test_every_bad_shard_is_named(self, small, tmp_path):
         circuit, plan, requests = small

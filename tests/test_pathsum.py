@@ -331,6 +331,23 @@ class TestPathSums:
             tracemalloc.stop()
         assert peak < 6 << 20, f"run_batched peaked at {peak / 2**20:.1f} MiB"
 
+    def test_one_prefix_holds_the_tile_and_at_most_one_copy(self):
+        # the last branch completion runs on the tile itself, and each
+        # branch copy is released before the next is made
+        circ = generate(GenSpec(4, 8, 12, "v2", seed=0))
+        idx = np.arange(64, dtype=np.int64)
+        for x_b, bound in ((0, 1.9), (2, 2.9)):
+            plan = make_plan(circ, x_b=x_b, seed=0)
+            tile = 8 * ((1 << plan.cut.n_a) + (1 << plan.cut.n_b))
+            pathsum._lower(circ, plan.cut)
+            tracemalloc.start()
+            try:
+                run_batched(circ, plan, idx, prefixes=plan.retained[:1])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * tile, f"x_b={x_b}: {peak / tile:.2f} tiles"
+
     def test_shallow_paths_carry_near_equal_norms(self):
         # a depth-8 window keeps every cut gate's two projector branches
         # balanced; the spread grows with depth, so pin the shallow case
