@@ -113,7 +113,14 @@ def plan_digits(plan) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class BenchResult:
-    """One measured campaign-equivalent run for calibration."""
+    """One measured campaign-equivalent run for calibration.
+
+    `seconds` of a single-prefix run are time on one CPU, as campaign jobs
+    run. A run_batched call over several row tiles runs up to two of them
+    at once, one per CPU, so its `seconds` are wall time on those CPUs, not
+    the single-core work the law prices. `M_proc` prices one campaign
+    process, whose single tile runs on one thread.
+    """
 
     q1: int
     q2: int

@@ -4,13 +4,18 @@ requested amplitudes over paths.
 
 A path assigns one decomposition term to each cross gate; its digits form
 a mixed-radix number ordered by cycle.  The first x_p digits are the
-prefix, the rest the branch.  Prefixes run in row tiles sized to
-statevec's slice budget: a tile simulates both blocks up to the first
-branch gate, and every branch completion but the last works on its own
-copy of that tile; the last works on the tile itself.  Fidelity-controlled
-truncation keeps a seeded uniform subset of prefixes: retaining a fraction
-f of the path space yields a state whose squared norm, and whose fidelity
-against the exact state, are both close to f for chaotic circuits.
+prefix, the rest the branch.  Prefixes run in near-equal row tiles sized
+to statevec's slice budget: a tile simulates both blocks up to the first
+branch gate, every branch completion but the last works on one spare copy
+of that tile, refilled per branch, and the last works on the tile itself.
+Tiles run on one thread per CPU of the process, at most two at a time;
+each lands its branches into its own partial sum, and the partials are
+added in tile order, so amplitudes do not depend on the thread count.  A
+call with one tile (a campaign job) or a joint-matrix landing stays on
+the calling thread.  Fidelity-controlled truncation keeps a seeded
+uniform subset of prefixes: retaining a fraction f of the path space
+yields a state whose squared norm, and whose fidelity against the exact
+state, are both close to f for chaotic circuits.
 
 `seeded_subset` is the one selector of seeded distinct ids: it picks the
 retained prefixes here and the verifier's challenge indices in validate.
@@ -18,6 +23,8 @@ retained prefixes here and the verifier's challenge indices in validate.
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -330,6 +337,14 @@ def _digit_columns(ids: np.ndarray, radices) -> dict:
     return cols
 
 
+# Row tiles run on one thread per CPU the process may use, but at most
+# _TILES_AT_ONCE at a time, whatever the CPU count: each running tile holds
+# its own working set, and more of them would need smaller tiles, which would
+# tie the split, and so the sums, to the thread count.
+_THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_TILES_AT_ONCE = 2
+
+
 def run_batched(
     circuit: Circuit,
     plan: SimPlan,
@@ -338,15 +353,22 @@ def run_batched(
 ) -> AmplitudeBatch:
     """Sum over every path through `prefixes` (default: the retained ones).
 
-    Prefixes advance in row tiles, two (rows, 2^q) arrays sized so that
-    both fit statevec's slice budget; cross-gate digits select per-row
-    one-qubit operators. A tile runs up to the first branch gate once;
-    each branch completion but the last runs on a fresh copy of it, the
-    last (the only one when x_b == 0) on the tile itself, and each copy is
-    released before the next is made.  prefixes=[p] is the work of one
-    campaign job.
-    When the request set covers most of the joint space the two blocks are
-    contracted with a matrix product instead of per-request gathers.
+    Prefixes advance in near-equal row tiles, two (rows, 2^q) arrays sized
+    so that both fit statevec's slice budget; cross-gate digits select
+    per-row one-qubit operators. A tile runs up to the first branch gate
+    once; each branch completion but the last runs on one spare copy of
+    it, refilled per branch, the last (the only one when x_b == 0) on the
+    tile itself. Each tile lands its branches into its own partial sum,
+    and the partials are added in tile order, so the amplitudes do not
+    depend on how many threads ran the tiles.
+    Tiles run on one thread per CPU of the process, at most _TILES_AT_ONCE
+    at a time, so a call's working set is at most that many times its
+    one-thread working set, whatever the CPU count; one tile more is
+    submitted ahead of the next partial to add, so few partials are alive
+    at once. A call stays on its own thread when it has one tile
+    (prefixes=[p], the work of one campaign job), or when the request set
+    covers most of the joint space and the two blocks are contracted into
+    it by a matrix product, which BLAS threads already spread.
     """
     cut = plan.cut
     ops, cross = _lower(circuit, cut)
@@ -362,35 +384,64 @@ def run_batched(
     use_joint = n_req * 4 >= na * nb and na * nb <= (1 << 24)
     joint = np.zeros((na, nb), dtype=ACC_DTYPE) if use_joint else None
     acc = None if use_joint else np.zeros(n_req, dtype=ACC_DTYPE)
-    tile_rows = max(1, statevec._SLICE_BYTES // (np.dtype(DTYPE).itemsize * (na + nb)))
+    item = np.dtype(DTYPE).itemsize
+    n_tiles = max(1, -(-prefixes.size // max(1, statevec._SLICE_BYTES // (item * (na + nb)))))
+    rows = max(1, -(-prefixes.size // n_tiles))
+    tiles = [prefixes[s : s + rows] for s in range(0, prefixes.size, rows)]
     n_blk = (cut.n_a, cut.n_b)
     branch_digits = _digit_columns(np.arange(plan.branch_space), plan.radices[x_p:])
     last = plan.branch_space - 1
 
-    def land(blocks):
+    def land(blocks, part):
         if use_joint:
-            joint[:, :] += blocks[0].T.astype(ACC_DTYPE) @ blocks[1].astype(ACC_DTYPE)
+            part += blocks[0].T.astype(ACC_DTYPE) @ blocks[1].astype(ACC_DTYPE)
             return
-        step = max(1, (1 << 22) // max(1, n_req))
-        for s in range(0, blocks[0].shape[0], step):
-            ga = blocks[0][s : s + step][:, idx_a]
-            gb = blocks[1][s : s + step][:, idx_b]
-            acc[:] += np.einsum("pi,pi->i", ga, gb, dtype=ACC_DTYPE)
+        width = max(1, statevec._SLICE_BYTES // (item * blocks[0].shape[0]))
+        for s in range(0, n_req, width):
+            ga = blocks[0][:, idx_a[s : s + width]]
+            gb = blocks[1][:, idx_b[s : s + width]]
+            part[s : s + width] += np.einsum("pi,pi->i", ga, gb, dtype=ACC_DTYPE)
 
-    for start in range(0, prefixes.size, tile_rows):
-        tile = prefixes[start : start + tile_rows]
+    def tile_sum(tile, part):
         digits = _digit_columns(tile, plan.radices[:x_p])
         blocks = [np.zeros((tile.size, n), dtype=DTYPE) for n in (na, nb)]
         blocks[0][:, 0] = 1.0
         blocks[1][:, 0] = 1.0
         _exec_ops_batched(ops[:split_at], blocks, n_blk, digits, cross)
+        spare = [np.empty_like(b) for b in blocks] if last else None
         for branch in range(plan.branch_space):
-            work = blocks if branch == last else [b.copy() for b in blocks]
+            work = blocks
+            if branch < last:
+                work = spare
+                for dst, src in zip(spare, blocks):
+                    np.copyto(dst, src)
             for k, col in branch_digits.items():
                 digits[x_p + k] = col[branch]
             _exec_ops_batched(ops[split_at:], work, n_blk, digits, cross)
-            land(work)
-            del work
+            land(work, part)
+        return part
+
+    threads = 1 if use_joint else min(_THREADS, _TILES_AT_ONCE, len(tiles))
+    if threads < 2:
+        # on one thread the joint landing adds every tile straight into joint
+        for tile in tiles:
+            part = tile_sum(tile, joint if use_joint else np.zeros(n_req, dtype=ACC_DTYPE))
+            if not use_joint:
+                acc += part
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(threads)
+        try:
+            ahead = deque()
+            for tile in tiles:
+                if len(ahead) > threads:
+                    acc += ahead.popleft().result()
+                ahead.append(pool.submit(tile_sum, tile, np.zeros(n_req, dtype=ACC_DTYPE)))
+            for future in ahead:
+                acc += future.result()
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
 
     out = AmplitudeBatch.zeros(requests)
     out.amps[:] = joint[idx_a, idx_b] if use_joint else acc

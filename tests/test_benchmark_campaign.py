@@ -1,6 +1,9 @@
-"""perfbench's `campaign` workload, run once with tracing on: the only run
-of its `Campaign.record_directory`, which reads the campaign result's
-`rounds` and `workers` and each shard's `# attempt` header line."""
+"""perfbench's `campaign` and `sample` workloads, each run once with tracing
+on. The campaign run is the only run of its `Campaign.record_directory`,
+which reads the campaign result's `rounds` and `workers` and each shard's
+`# attempt` header line. The sample run checks the threaded path sum
+against perfbench's complex128 replay, its fidelity and norm laws and a
+second pass's digest."""
 import json
 import shutil
 import subprocess
@@ -12,7 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_campaign_workload(tmp_path):
+def _traced_run(tmp_path, workload):
     pytest.importorskip("scipy")  # the worker imports it
     # a copy, so that the worker's outputs stay out of the repository's perfbench/out
     bench = tmp_path / "perfbench"
@@ -20,7 +23,7 @@ def test_traced_campaign_workload(tmp_path):
     for path in [*ROOT.glob("perfbench/*.py"), *ROOT.glob("perfbench/*.json")]:
         shutil.copy(path, bench)
     (tmp_path / "src").symlink_to(ROOT / "src")
-    args = ["--workload", "campaign", "--seed", "1", "--seconds", "0", "--trace", "1"]
+    args = ["--workload", workload, "--seed", "1", "--seconds", "0", "--trace", "1"]
     proc = subprocess.run(
         [sys.executable, str(bench / "worker.py"), *args],
         capture_output=True, text=True, timeout=300, cwd=tmp_path,
@@ -29,5 +32,16 @@ def test_traced_campaign_workload(tmp_path):
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     assert out["correct"], out["detail"]
     assert out["failed"] == 0
-    assert out["metrics"]["orchestrator.rounds"] == 2
-    assert out["metrics"]["orchestrator.attempts"] == 248
+    return out["metrics"]
+
+
+def test_traced_campaign_workload(tmp_path):
+    metrics = _traced_run(tmp_path, "campaign")
+    assert metrics["orchestrator.rounds"] == 2
+    assert metrics["orchestrator.attempts"] == 248
+
+
+def test_traced_sample_workload(tmp_path):
+    metrics = _traced_run(tmp_path, "sample")
+    assert metrics["pathsum.retained_prefixes"] == 256
+    assert metrics["pathsum.paths"] == 2048

@@ -1,4 +1,7 @@
+import hashlib
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -363,6 +366,103 @@ class TestPathSums:
             ]
             norms = np.array(norms)
             assert norms.std() / norms.mean() < 0.10
+
+
+def _sha(batch):
+    return hashlib.sha256(batch.amps.tobytes()).hexdigest()
+
+
+def _tile_bytes(plan, rows):
+    return rows * 8 * ((1 << plan.cut.n_a) + (1 << plan.cut.n_b))
+
+
+class TestThreadedTiles:
+    def test_amplitudes_do_not_depend_on_the_thread_count(self, monkeypatch, circuit_4x4_d16):
+        idx = np.unique(np.random.default_rng(1).integers(0, 1 << 16, size=256))
+        # (x_b, tile rows, tiles): gather cells with fewer and more tiles than threads
+        for x_b, rows, n_tiles in ((2, 7, 5), (0, 64, 2)):
+            plan = make_plan(circuit_4x4_d16, fidelity=0.5, x_b=x_b, seed=3)
+            monkeypatch.setattr(statevec, "_SLICE_BYTES", _tile_bytes(plan, rows))
+            assert -(-len(plan.retained) // rows) == n_tiles
+            digests = set()
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)  # switch threads often, so a lost update would show
+            try:
+                for threads in (1, 2, 3):
+                    monkeypatch.setattr(pathsum, "_THREADS", threads)
+                    monkeypatch.setattr(pathsum, "_TILES_AT_ONCE", threads)
+                    digests.add(_sha(run_batched(circuit_4x4_d16, plan, idx)))
+            finally:
+                sys.setswitchinterval(interval)
+            assert len(digests) == 1, f"x_b={x_b}"
+            monkeypatch.undo()
+
+    def test_a_raising_tile_stops_the_call_and_its_threads(self, monkeypatch, circuit_4x4_d16):
+        plan = make_plan(circuit_4x4_d16, fidelity=0.5, x_b=2, seed=3)
+        idx = np.arange(64)
+        rows = 4
+        monkeypatch.setattr(statevec, "_SLICE_BYTES", _tile_bytes(plan, rows))
+        monkeypatch.setattr(pathsum, "_THREADS", 2)
+        third = plan.retained[2 * rows]
+        boom = RuntimeError("third tile")
+        digit_columns = pathsum._digit_columns
+
+        def raising(ids, radices):
+            if ids.size and ids[0] == third:
+                raise boom
+            return digit_columns(ids, radices)
+
+        monkeypatch.setattr(pathsum, "_digit_columns", raising)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as err:
+            run_batched(circuit_4x4_d16, plan, idx)
+        assert err.value is boom
+        assert threading.active_count() == before
+
+    def test_one_tile_and_joint_calls_start_no_thread(self, monkeypatch, circuit_4x4_d16):
+        plan = make_plan(circuit_4x4_d16, fidelity=0.5, x_b=0, seed=3)
+        idx = np.arange(256)
+        monkeypatch.setattr(pathsum, "_THREADS", 2)
+        want = {
+            "one prefix": run_batched(circuit_4x4_d16, plan, idx, prefixes=plan.retained[:1]),
+            "joint": run_batched(circuit_4x4_d16, plan, np.arange(1 << 16)),
+        }
+
+        def refuse(self):
+            raise RuntimeError("thread started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        monkeypatch.setattr(statevec, "_SLICE_BYTES", _tile_bytes(plan, 4))
+        with pytest.raises(RuntimeError, match="thread started"):
+            run_batched(circuit_4x4_d16, plan, idx)  # threads where they pay
+        got = {
+            "one prefix": run_batched(circuit_4x4_d16, plan, idx, prefixes=plan.retained[:1]),
+            "joint": run_batched(circuit_4x4_d16, plan, np.arange(1 << 16)),
+        }
+        for name in want:
+            np.testing.assert_allclose(got[name].amps, want[name].amps, atol=1e-6, err_msg=name)
+
+    def test_more_cpus_do_not_grow_the_working_set(self, monkeypatch):
+        # at most two tiles run at once, however many CPUs the process has
+        circ = generate(GenSpec(4, 5, 20, "v2", seed=0))
+        plan = make_plan(circ, fidelity=1 / 16, x_b=0, seed=0)
+        idx = np.unique(np.random.default_rng(2).integers(0, 1 << 20, size=1024))
+        run_batched(circ, plan, idx[:1], prefixes=plan.retained[:1])  # lowering cache
+        peaks = {}
+        for threads in (1, 2, 4, 8):
+            monkeypatch.setattr(pathsum, "_THREADS", threads)
+            tracemalloc.start()
+            try:
+                run_batched(circ, plan, idx)
+                peaks[threads] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert max(peaks.values()) <= 2 * peaks[1] + (1 << 20), peaks
+
+    @pytest.mark.parametrize("cpus", [4, 8])
+    def test_row_tiles_stay_small_on_many_cpus(self, monkeypatch, cpus):
+        monkeypatch.setattr(pathsum, "_THREADS", cpus)
+        TestPathSums().test_row_tiles_keep_the_working_set_small()
 
 
 class TestEstimateFidelity:
