@@ -317,11 +317,7 @@ def gate_block(gate: Gate, cut: Cut) -> str:
     inside = sum(1 for q in gate.qubits if q in a)
     if inside == len(gate.qubits):
         return "a"
-    if inside == 0:
-        return "b"
-    if len(gate.qubits) == 1:
-        raise CircuitError("one-qubit gate cannot straddle a cut")
-    return "cross"
+    return "b" if inside == 0 else "cross"
 
 
 def cross_gates(circuit: Circuit, cut: Cut) -> list[Gate]:
@@ -343,9 +339,7 @@ def choose_cut(circuit: Circuit) -> Cut:
     cuts = all_cuts(circuit)
     if not cuts:
         raise CircuitError("grid has no straight-line cut")
-    scored = [
-        (max(c.n_a, c.n_b), count_cross_gates(circuit, c), c.position, c.orientation, c)
-        for c in cuts
-    ]
-    scored.sort(key=lambda t: t[:4])
-    return scored[0][4]
+    return min(
+        cuts,
+        key=lambda c: (max(c.n_a, c.n_b), count_cross_gates(circuit, c), c.position, c.orientation),
+    )

@@ -41,7 +41,7 @@ from .circuit import (
     gate_matrix,
 )
 from . import statevec
-from .statevec import ACC_DTYPE, AmplitudeBatch, DTYPE, apply_op, lower_gate
+from .statevec import ACC_DTYPE, AmplitudeBatch, DTYPE, apply_op, lower_gate, one_qubit_op
 
 _P0 = np.diag([1.0, 0.0]).astype(np.complex128)
 _P1 = np.diag([0.0, 1.0]).astype(np.complex128)
@@ -57,7 +57,6 @@ _SVD_TOL = 1e-7  # relative singular-value cutoff for generic gates
 class TermDecomposition:
     """Sum-of-products form of a two-qubit gate: U = sum_k kron(L_k, R_k)."""
 
-    kind: GateKind
     terms: list[tuple[np.ndarray, np.ndarray]]
 
     @property
@@ -97,27 +96,21 @@ def schmidt_decompose(gate: Gate | GateKind | np.ndarray) -> TermDecomposition:
     zero out known amplitude blocks; anything else goes through the SVD
     of the index-reshuffled matrix.
     """
-    kind = None
-    matrix = None
+    if isinstance(gate, GateKind):
+        gate = Gate(0, gate, (0, 1))
     if isinstance(gate, Gate):
-        kind = gate.kind
+        if gate.kind is GateKind.CZ:
+            return TermDecomposition([(_P0, _I2), (_P1, _Z)])
+        if gate.kind is GateKind.ISWAP:
+            return TermDecomposition(
+                [(_P0, _P0), (_P1, _P1), (1j * _RAISE, _LOWER), (1j * _LOWER, _RAISE)]
+            )
         matrix = gate_matrix(gate)
-    elif isinstance(gate, GateKind):
-        kind = gate
     else:
         matrix = np.asarray(gate, dtype=np.complex128)
         if matrix.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got {matrix.shape}")
-    if kind is GateKind.CZ:
-        return TermDecomposition(kind, [(_P0, _I2), (_P1, _Z)])
-    if kind is GateKind.ISWAP:
-        return TermDecomposition(
-            kind,
-            [(_P0, _P0), (_P1, _P1), (1j * _RAISE, _LOWER), (1j * _LOWER, _RAISE)],
-        )
-    if matrix is None:
-        matrix = gate_matrix(Gate(0, kind, (0, 1)))
-    return TermDecomposition(kind or GateKind.GENERIC_2Q, _svd_terms(matrix))
+    return TermDecomposition(_svd_terms(matrix))
 
 
 def split_requests(
@@ -142,7 +135,8 @@ def split_requests(
 
 
 # Lowered ops are statevec's block-local encodings (blk 0 is block a, 1 is
-# block b) plus ("cross", k) for cross gate k.
+# block b), and ("cross", k, op_a, op_b) for cross gate k: its one-qubit ops
+# on blocks a and b, each holding the per-digit stack of its terms.
 def _lower(circuit: Circuit, cut: Cut):
     cache = getattr(circuit, "_lowered", None)
     if cache is None:
@@ -159,31 +153,21 @@ def _lower_uncached(circuit: Circuit, cut: Cut):
     pos_a = {q: i for i, q in enumerate(cut.block_a)}
     pos_b = {q: i for i, q in enumerate(cut.block_b)}
     ops: list[tuple] = []
-    cross: list[tuple] = []  # per cross gate, its term tables for blocks a and b
+    n_cross = 0
     for g in circuit.gates:
         side = gate_block(g, cut)
         if side == "cross":
-            q_first, q_second = g.qubits
-            first_in_a = q_first in pos_a
-            local_a = pos_a[q_first] if first_in_a else pos_a[q_second]
-            local_b = pos_b[q_second] if first_in_a else pos_b[q_first]
-            left, right = zip(*schmidt_decompose(g).terms)
-            mats_a, mats_b = (left, right) if first_in_a else (right, left)
-            ops.append(("cross", len(cross)))
-            cross.append((_term_table(0, local_a, mats_a), _term_table(1, local_b, mats_b)))
+            q_a, q_b = g.qubits
+            stack_a, stack_b = (np.stack(m) for m in zip(*schmidt_decompose(g).terms))
+            if q_a not in pos_a:
+                q_a, q_b, stack_a, stack_b = q_b, q_a, stack_b, stack_a
+            op_a = one_qubit_op(stack_a, 0, pos_a[q_a])
+            ops.append(("cross", n_cross, op_a, one_qubit_op(stack_b, 1, pos_b[q_b])))
+            n_cross += 1
             continue
         blk, pos = (0, pos_a) if side == "a" else (1, pos_b)
         ops.append(lower_gate(g, blk, pos))
-    return ops, cross
-
-
-def _term_table(blk: int, q: int, mats) -> tuple:
-    # one side of one cross gate as a one-qubit op whose operator is the
-    # per-digit stack: ("diag1", blk, q, (rank, 2)) or ("mat1", blk, q, (rank, 2, 2))
-    stack = np.stack(mats)
-    if not np.any(stack[:, 0, 1]) and not np.any(stack[:, 1, 0]):
-        return "diag1", blk, q, stack.diagonal(axis1=1, axis2=2).astype(DTYPE)
-    return "mat1", blk, q, stack.astype(DTYPE)
+    return ops
 
 
 @dataclass
@@ -313,16 +297,16 @@ def _default_branch_digits(n_cycles, cross, radices) -> int:
 # statevec's kernels advance them; only a cross gate's term varies by row.
 
 
-def _exec_ops_batched(ops, blocks, n_blk, digits, cross) -> None:
-    """Run lowered ops on (rows, amps) arrays; digits maps cross index ->
-    scalar term digit or a per-row digit column."""
+def _exec_ops_batched(ops, blocks, n_blk, digits) -> None:
+    """Run lowered ops on (rows, amps) arrays; digits[k], a scalar term digit
+    or a per-row digit column, picks from the stacks of ("cross", k, op_a, op_b)."""
     for op in ops:
         if op[0] != "cross":
             apply_op(op, blocks, n_blk)
             continue
         dk = digits[op[1]]
-        for kind, blk, q, table in cross[op[1]]:
-            apply_op((kind, blk, q, table[dk]), blocks, n_blk)
+        for kind, blk, q, stack in op[2:]:
+            apply_op((kind, blk, q, stack[dk]), blocks, n_blk)
 
 
 def _digit_columns(ids: np.ndarray, radices) -> dict:
@@ -359,22 +343,21 @@ def run_batched(
     once; each branch completion but the last runs on one spare copy of
     it, refilled per branch, the last (the only one when x_b == 0) on the
     tile itself. Each tile lands its branches into its own partial sum,
-    and the partials are added in tile order, so the amplitudes do not
-    depend on how many threads ran the tiles.
-    Tiles run on one thread per CPU of the process, at most _TILES_AT_ONCE
-    at a time, so a call's working set is at most that many times its
-    one-thread working set, whatever the CPU count; one tile more is
-    submitted ahead of the next partial to add, so few partials are alive
-    at once. A call stays on its own thread when it has one tile
-    (prefixes=[p], the work of one campaign job), or when the request set
-    covers most of the joint space and the two blocks are contracted into
-    it by a matrix product, which BLAS threads already spread.
+    added in tile order, so amplitudes do not depend on the thread count.
+    Tiles run on one thread per CPU, at most _TILES_AT_ONCE at a time and
+    one more queued, so a call holds a few tiles' working sets whatever
+    the CPU count. A call with one tile (prefixes=[p], one campaign job)
+    stays on its thread, and so does a joint landing (requests covering
+    most of the joint space, contracted by one matrix product per tile):
+    its partials are (2^n_a, 2^n_b) matrices. On 2 vCPUs, threads took a
+    4x5 10+10 cell (all 2^20 amplitudes, 512 prefixes) from a 64 to a
+    116-118 MiB traced peak for no gain (0.36-0.44 s against 0.38-0.51 s),
+    though c23's 4x4 cell at f=1/4 gained (2.5-2.9 s against 3.1-3.5 s).
     """
     cut = plan.cut
-    ops, cross = _lower(circuit, cut)
+    ops = _lower(circuit, cut)
     x_p = plan.x_p
-    marker = ("cross", x_p)
-    split_at = next((i for i, op in enumerate(ops) if op == marker), len(ops))
+    split_at = next((i for i, o in enumerate(ops) if o[0] == "cross" and o[1] == x_p), len(ops))
     if prefixes is None:
         prefixes = plan.retained
     prefixes = np.asarray(prefixes, dtype=np.int64)
@@ -407,7 +390,7 @@ def run_batched(
         blocks = [np.zeros((tile.size, n), dtype=DTYPE) for n in (na, nb)]
         blocks[0][:, 0] = 1.0
         blocks[1][:, 0] = 1.0
-        _exec_ops_batched(ops[:split_at], blocks, n_blk, digits, cross)
+        _exec_ops_batched(ops[:split_at], blocks, n_blk, digits)
         spare = [np.empty_like(b) for b in blocks] if last else None
         for branch in range(plan.branch_space):
             work = blocks
@@ -417,7 +400,7 @@ def run_batched(
                     np.copyto(dst, src)
             for k, col in branch_digits.items():
                 digits[x_p + k] = col[branch]
-            _exec_ops_batched(ops[split_at:], work, n_blk, digits, cross)
+            _exec_ops_batched(ops[split_at:], work, n_blk, digits)
             land(work, part)
         return part
 

@@ -225,7 +225,7 @@ class PTFit:
     mean_probability: float
 
 
-def porter_thomas_fit(probs, min_count: int = PT_MIN_COUNT) -> PTFit:
+def porter_thomas_fit(probs) -> PTFit:
     """Kolmogorov-Smirnov distance of N*p against the Exp(1) law.
 
     Probabilities are rescaled by their measured mean, so approximate
@@ -233,8 +233,8 @@ def porter_thomas_fit(probs, min_count: int = PT_MIN_COUNT) -> PTFit:
     distribution comes out near 0.63, far above any chaotic-state value.
     """
     probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 1 or probs.size < min_count:
-        raise SamplingError(f"need at least {min_count} probabilities, got {probs.size}")
+    if probs.ndim != 1 or probs.size < PT_MIN_COUNT:
+        raise SamplingError(f"need at least {PT_MIN_COUNT} probabilities, got {probs.size}")
     mean = float(probs.mean())
     if mean <= 0.0:
         raise SamplingError("batch has no probability mass")

@@ -10,9 +10,11 @@ positions are split into tiles of at most _TILE_QUBITS, each run of gates
 inside one tile is one fused matrix, applied by one matmul per slice of
 about 1 MB, and only gates spanning two tiles run as single-gate kernels.
 The path sum lowers one op per gate and runs its prefixes in row tiles of
-about the same size.  Each single-gate kernel streams runs of at least one
-cache line whatever qubit it targets: shorter runs of a large array are
-applied column by column, as numpy's loops over 1-4 amplitudes cost 2-5x.
+about the same size; `one_qubit_op` is the one rule that lowers a gate's
+2x2 matrix and a cross gate's per-digit stack alike.  Each single-gate
+kernel streams runs of at least one cache line whatever qubit it targets:
+shorter runs of a large array are applied column by column, as numpy's
+loops over 1-4 amplitudes cost 2-5x.
 
 Amplitude files come in two forms that share a leading "# key value"
 header.  Text lines ("index_hex re im" at a chosen number of significant
@@ -194,17 +196,20 @@ _KERNELS = {
 }
 
 
-def _one_qubit_op(u: np.ndarray, blk: int, local_q: int) -> tuple:
-    if abs(u[0, 1]) == 0 and abs(u[1, 0]) == 0:
-        return ("diag1", blk, local_q, np.diag(u).astype(DTYPE))
-    return ("mat1", blk, local_q, np.asarray(u, dtype=DTYPE))
+def one_qubit_op(u: np.ndarray, blk: int, q: int) -> tuple:
+    """The op for u at position q of array blk, u one 2x2 matrix or a
+    (rank, 2, 2) stack of one per path digit: ("diag1", blk, q, diagonals)
+    if every off-diagonal entry is zero, else ("mat1", blk, q, u)."""
+    if not np.any(u[..., 0, 1]) and not np.any(u[..., 1, 0]):
+        return ("diag1", blk, q, u.diagonal(axis1=-2, axis2=-1).astype(DTYPE))
+    return ("mat1", blk, q, u.astype(DTYPE))
 
 
 def lower_gate(gate: Gate, blk: int, pos) -> tuple:
     """The op for a gate acting inside array blk; pos[q] is qubit q's position there."""
     u = gate_matrix(gate)
     if len(gate.qubits) == 1:
-        return _one_qubit_op(u, blk, pos[gate.qubits[0]])
+        return one_qubit_op(u, blk, pos[gate.qubits[0]])
     la, lb = pos[gate.qubits[0]], pos[gate.qubits[1]]
     if gate.kind is GateKind.CZ:
         return ("diag2", blk, la, lb, np.diag(u).astype(DTYPE))

@@ -27,8 +27,11 @@ def run_ok(argv):
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy.stats alone cost about a second of every command's start-up
-    code = "import sys, gridsim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    # scipy.stats alone cost about a second of every command's start-up;
+    # concurrent.futures brings logging, about 8 ms more, so the threaded
+    # path sum imports it only when it starts threads
+    heavy = ("scipy", "concurrent", "logging")
+    code = f"import sys, gridsim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in {heavy}))"
     src = os.path.dirname(os.path.dirname(os.path.abspath(gridsim.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)

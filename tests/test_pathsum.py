@@ -16,6 +16,7 @@ from gridsim.circuit import (
     GateKind,
     all_cuts,
     choose_cut,
+    cross_gates,
     gate_matrix,
     parse_circuit,
 )
@@ -85,6 +86,75 @@ class TestSchmidt:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             schmidt_decompose(np.eye(2))
+
+
+def _as_matrix(kind, operator):
+    # a one-qubit op's operator as 2x2 matrices: diag1 holds the diagonals
+    if kind == "diag1":
+        return operator[..., :, None] * np.eye(2, dtype=operator.dtype)
+    return operator
+
+
+def _random_g2(seed):
+    z = np.random.default_rng(seed).normal(size=(2, 4, 4))
+    return np.linalg.qr(z[0] + 1j * z[1])[0]
+
+
+def _descending_g2_circuit():
+    # g2, is and cz cross the h cut of a 2x3 grid in both qubit orders
+    entries = " ".join(f"{v.real:.17g} {v.imag:.17g}" for v in _random_g2(7).ravel())
+    text = (
+        "6\n"
+        + "".join(f"0 h {q}\n" for q in range(6))
+        + f"1 is 4 1\n1 g2 2 5 {entries}\n1 t 0\n2 cz 1 0\n2 x_1_2 4\n"
+        + f"3 g2 3 0 {entries}\n3 is 2 5\n3 y_1_2 1\n4 is 1 4\n5 cz 4 3\n"
+    )
+    circ = parse_circuit(text, rows=2, cols=3)
+    return circ, next(c for c in all_cuts(circ) if c.block_a == (0, 1, 2))
+
+
+class TestCrossLowering:
+    def test_stack_lowering_equals_the_one_matrix_lowering_per_digit(self):
+        # CZ's terms are diagonal, iSWAP's raise and lower terms are not,
+        # and a random g2's SVD terms are dense
+        for gate, kinds in (
+            (GateKind.CZ, ["diag1", "diag1"]),
+            (GateKind.ISWAP, ["mat1", "mat1"]),
+            (_random_g2(3), ["mat1", "mat1"]),
+        ):
+            seen = []
+            for mats in zip(*schmidt_decompose(gate).terms):
+                kind, blk, q, stack = statevec.one_qubit_op(np.stack(mats), 1, 3)
+                singles = [statevec.one_qubit_op(m, 1, 3) for m in mats]
+                assert (blk, q, len(stack)) == (1, 3, len(mats))
+                assert (kind == "diag1") == all(op[0] == "diag1" for op in singles)
+                for k, op in enumerate(singles):
+                    assert op[1:3] == (1, 3)
+                    np.testing.assert_array_equal(
+                        _as_matrix(kind, stack)[k], _as_matrix(op[0], op[3])
+                    )
+                seen.append(kind)
+            assert seen == kinds
+
+    def test_each_cross_op_holds_the_lowering_of_its_gates_terms(self, circuit_4x4_d16):
+        iswap = generate(GenSpec(3, 4, 16, "v2", seed=0, two_qubit=GateKind.ISWAP))
+        cells = [(c, choose_cut(c)) for c in (circuit_4x4_d16, iswap)]
+        for circ, cut in cells + [_descending_g2_circuit()]:
+            ops = pathsum._lower(circ, cut)
+            got = [op for op in ops if op[0] == "cross"]
+            gates = cross_gates(circ, cut)
+            assert len(ops) == len(circ.gates) and len(got) == len(gates) > 0
+            for k, (op, gate) in enumerate(zip(got, gates)):
+                assert op[1] == k
+                sides = list(zip(gate.qubits, zip(*schmidt_decompose(gate).terms)))
+                if gate.qubits[0] not in cut.block_a:
+                    sides.reverse()
+                for blk, (block, (q, mats), side_op) in enumerate(
+                    zip((cut.block_a, cut.block_b), sides, op[2:])
+                ):
+                    want = statevec.one_qubit_op(np.stack(mats), blk, block.index(q))
+                    assert side_op[:3] == want[:3]
+                    np.testing.assert_array_equal(side_op[3], want[3])
 
 
 class TestRetainedPrefixes:
