@@ -10,26 +10,12 @@ import sys
 import numpy as np
 
 from .benchgen import GenSpec, audit, generate, instance_filename
-from .circuit import (
-    Circuit,
-    CircuitError,
-    GateKind,
-    circuit_hash,
-    parse_circuit,
-    serialize_circuit,
-)
-from .costmodel import CostModelError, CostParams, forecast, plan_digits
+from .circuit import Circuit, GateKind, circuit_hash, parse_circuit, serialize_circuit
+from .costmodel import CostParams, forecast, plan_digits
 from .orchestrator import SHARD_DIGITS, CampaignError, merge, run_campaign, status
 from .pathsum import make_plan, run_approx
-from .sampler import (
-    PT_MIN_COUNT,
-    SampleRequest,
-    SamplingError,
-    committed_indices,
-    porter_thomas_fit,
-    sample,
-)
-from .statevec import fetch_amplitudes, read_amplitudes, run_full, write_amplitudes
+from .sampler import PT_MIN_COUNT, SampleRequest, committed_indices, porter_thomas_fit, sample
+from .statevec import basis_indices, fetch_amplitudes, read_amplitudes, run_full, write_amplitudes
 from . import validate as validation
 
 MAX_DEFAULT_AMPS_QUBITS = 20
@@ -54,16 +40,21 @@ def _read_indices(path: str) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def _in_state(indices: np.ndarray, n_qubits: int) -> np.ndarray:
-    bad = indices[(indices < 0) | (indices >= 1 << n_qubits)]
-    if bad.size:
-        raise ValueError(f"index {bad[0]:x} is outside the {n_qubits}-qubit state")
-    return indices
+def _read_fields(path: str, *names: str) -> list[float]:
+    """The named fields of a JSON object file, as floats."""
+    with open(path) as f:
+        raw = json.load(f)
+    for name in names:
+        if not isinstance(raw, dict) or name not in raw:
+            raise ValueError(f"{path} lacks {name}")
+        if not isinstance(raw[name], (int, float)):
+            raise ValueError(f"{path}: {name} is not a number")
+    return [float(raw[name]) for name in names]
 
 
 def _default_indices(circuit: Circuit, amps_file: str | None) -> np.ndarray:
     if amps_file is not None:
-        return _in_state(_read_indices(amps_file), circuit.n_qubits)
+        return basis_indices(_read_indices(amps_file), circuit.n_qubits)
     if circuit.n_qubits > MAX_DEFAULT_AMPS_QUBITS:
         raise ValueError(
             f"{circuit.n_qubits} qubits is too many to return every amplitude; "
@@ -174,9 +165,7 @@ def _cmd_plan(args) -> int:
         "jobs": len(plan.retained),
     }
     if args.params:
-        with open(args.params) as f:
-            raw = json.load(f)
-        params = CostParams(C1=raw["C1"], C2=raw["C2"], C3=raw["C3"])
+        params = CostParams(*_read_fields(args.params, "C1", "C2", "C3"))
         x_p, x_b = plan_digits(plan)
         fc = forecast(
             params,
@@ -211,7 +200,7 @@ def _cmd_sample(args) -> int:
     batch, header = read_amplitudes(args.amps)
     size = len(batch.indices)
     n = int(header.get("n_qubits", max(size, 1).bit_length() - 1))
-    distinct = np.unique(_in_state(batch.indices, n)).size
+    distinct = np.unique(basis_indices(batch.indices, n)).size
     if not size == distinct == 1 << n:
         raise ValueError(
             f"sampling needs each of the {1 << n} basis states once: "
@@ -304,8 +293,7 @@ def _cmd_validate_verifier(args) -> int:
         print(f"challenge written to {args.challenge}; keep {private_path} secret")
         return 0
     ch = validation.read_challenge(args.challenge)
-    with open(private_path) as f:
-        f1 = float(json.load(f)["f1"])
+    (f1,) = _read_fields(private_path, "f1")
     ch = validation.Challenge(ch.circuit_hash, ch.k, ch.index_seed, ch.delta, f1)
     response, _ = read_amplitudes(args.response)
     result = validation.verifier_round(circuit, ch, response, path_seed=args.path_seed)
@@ -433,17 +421,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        CircuitError,
-        SamplingError,
-        CampaignError,
-        CostModelError,
-        MemoryError,
-        OverflowError,
-        validation.ValidationError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, IndexError, CampaignError, MemoryError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -99,7 +99,14 @@ class CostParams:
 
 def work_terms(f, q1, q2, d_p, d_b, x_p, x_b, n_a) -> tuple[float, float, float]:
     """The three terms of the work law, which C1, C1*C2 and C3 multiply:
-    prefix-phase gate work, branch-phase gate work and amplitude collection."""
+    prefix-phase gate work, branch-phase gate work and amplitude collection.
+    The law's domain: f in (0, 1], both blocks at least one qubit, every
+    other dimension nonnegative."""
+    if not 0 < f <= 1:
+        raise CostModelError(f"fidelity fraction must be in (0, 1], got {f}")
+    if min(q1, q2) < 1 or min(d_p, d_b, x_p, x_b, n_a) < 0:
+        dims = dict(q1=q1, q2=q2, d_p=d_p, d_b=d_b, x_p=x_p, x_b=x_b, n_a=n_a)
+        raise CostModelError(f"empty block or negative dimension in {dims}")
     w = q1 * 2.0**q1 + q2 * 2.0**q2
     jobs = f * 2.0**x_p
     return jobs * w * d_p, jobs * w * 2.0**x_b * d_b, 2.0 ** (x_p + x_b) * n_a
@@ -133,10 +140,7 @@ class BenchResult:
     seconds: float
 
     def __post_init__(self):
-        if min(self.q1, self.q2) < 1 or min(self.d_p, self.d_b, self.x_p, self.x_b, self.n_a) < 0:
-            raise CostModelError(f"negative or empty dimension in {self}")
-        if not 0 < self.f <= 1:
-            raise CostModelError(f"fidelity fraction must be in (0, 1], got {self.f}")
+        self.design_row()  # the law's own domain check
         if self.seconds <= 0:
             raise CostModelError(f"measured time must be positive, got {self.seconds}")
 
@@ -213,10 +217,6 @@ def total_seconds(
     x_b: int,
     n_a: int,
 ) -> float:
-    if not 0 < f <= 1:
-        raise CostModelError(f"fidelity fraction must be in (0, 1], got {f}")
-    if min(q1, q2) < 1 or min(d_p, d_b, x_p, x_b, n_a) < 0:
-        raise CostModelError("dimensions must be nonnegative (blocks nonempty)")
     prefix_work, branch_work, collect = work_terms(f, q1, q2, d_p, d_b, x_p, x_b, n_a)
     return params.C1 * (prefix_work + params.C2 * branch_work) + params.C3 * collect
 

@@ -29,6 +29,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import resource
 import time
 from dataclasses import dataclass
 
@@ -205,20 +206,14 @@ class CampaignResult:
             "per_job_seconds": {str(p): round(s, 6) for p, s in sorted(self.per_job_seconds.items())},
             "child_exit_codes": self.child_exit_codes,
         }
-        rss = _peak_rss_bytes()
-        if rss is not None:
-            out["peak_rss_bytes"] = rss
+        out["peak_rss_bytes"] = _peak_rss_bytes()
         if forecast_seconds is not None:
             out["forecast_seconds"] = float(forecast_seconds)
             out["actual_seconds"] = round(self.job_seconds_total, 6)
         return out
 
 
-def _peak_rss_bytes() -> int | None:
-    try:
-        import resource
-    except ImportError:
-        return None
+def _peak_rss_bytes() -> int:
     self_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     child_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
     return max(self_kb, child_kb) * 1024

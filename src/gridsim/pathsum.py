@@ -121,9 +121,7 @@ def split_requests(
     Block-local bit order follows ascending global qubit order, so for a
     horizontal cut block_a simply holds the high-order bits.
     """
-    idx = np.asarray(indices, dtype=np.int64)
-    if len(idx) and (idx.min() < 0 or idx.max() >= (1 << n_qubits)):
-        raise IndexError("request index outside the state space")
+    idx = statevec.basis_indices(indices, n_qubits)
     out = []
     for block in (block_a, block_b):
         local = np.zeros(len(idx), dtype=np.int64)
@@ -138,18 +136,9 @@ def split_requests(
 # block b), and ("cross", k, op_a, op_b) for cross gate k: its one-qubit ops
 # on blocks a and b, each holding the per-digit stack of its terms.
 def _lower(circuit: Circuit, cut: Cut):
-    cache = getattr(circuit, "_lowered", None)
-    if cache is None:
-        cache = {}
-        circuit._lowered = cache
+    cache = circuit.__dict__.setdefault("_lowered", {})
     if cut in cache:
         return cache[cut]
-    lowered = _lower_uncached(circuit, cut)
-    cache[cut] = lowered
-    return lowered
-
-
-def _lower_uncached(circuit: Circuit, cut: Cut):
     pos_a = {q: i for i, q in enumerate(cut.block_a)}
     pos_b = {q: i for i, q in enumerate(cut.block_b)}
     ops: list[tuple] = []
@@ -167,6 +156,7 @@ def _lower_uncached(circuit: Circuit, cut: Cut):
             continue
         blk, pos = (0, pos_a) if side == "a" else (1, pos_b)
         ops.append(lower_gate(g, blk, pos))
+    cache[cut] = ops
     return ops
 
 
@@ -426,9 +416,7 @@ def run_batched(
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
 
-    out = AmplitudeBatch.zeros(requests)
-    out.amps[:] = joint[idx_a, idx_b] if use_joint else acc
-    return out
+    return AmplitudeBatch(requests, joint[idx_a, idx_b] if use_joint else acc)
 
 
 # The library name of the truncated engine: every retained prefix, summed

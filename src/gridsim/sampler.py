@@ -120,7 +120,7 @@ class SampleSet:
         return [format(int(i), fmt) for i in self.indices]
 
 
-def _check_batch(req: SampleRequest, indices, probs, per_sample: int):
+def _check_batch(indices, probs, per_sample: int):
     indices = np.asarray(indices, dtype=np.int64)
     probs = np.asarray(probs, dtype=np.float64)
     if indices.shape != probs.shape or probs.ndim != 1:
@@ -136,7 +136,7 @@ def _check_batch(req: SampleRequest, indices, probs, per_sample: int):
 
 def _rejection_sample(req: SampleRequest, indices, probs, m: int, drop_tail: bool) -> SampleSet:
     # accept with min{1, p*N/m}; with drop_tail, entries above m/N are rejected
-    indices, probs = _check_batch(req, indices, probs, m)
+    indices, probs = _check_batch(indices, probs, m)
     n_states = req.n_states
     cap = m / n_states
     u = _philox(req.seed, 1).random(probs.size)

@@ -46,12 +46,6 @@ class StateBlock:
     n_qubits: int
     amps: np.ndarray
 
-    @classmethod
-    def zero_state(cls, n_qubits: int) -> StateBlock:
-        amps = np.zeros(2**n_qubits, dtype=DTYPE)
-        amps[0] = 1.0
-        return cls(n_qubits, amps)
-
 
 # Kernels over (rows, 2^n) complex64 arrays, one state per row, qubit 0 in
 # the most significant bit.
@@ -299,7 +293,8 @@ def run_full(circuit: Circuit) -> StateBlock:
     raises numpy's MemoryError before any gate runs.
     """
     n = circuit.n_qubits
-    state = StateBlock.zero_state(n)
+    state = StateBlock(n, np.zeros(1 << n, dtype=DTYPE))
+    state.amps[0] = 1.0
     blocks, n_blk, identity = [state.amps.reshape(1, -1)], (n,), range(n)
     for cl in cluster_gates(circuit):
         if cl.tile is None:
@@ -329,11 +324,19 @@ class AmplitudeBatch:
         return cls(indices, np.zeros(len(indices), dtype=ACC_DTYPE))
 
 
+def basis_indices(indices, n_qubits: int) -> np.ndarray:
+    """indices as int64, each a basis state of n_qubits qubits; IndexError
+    names the first that lies outside [0, 2^n_qubits)."""
+    idx = np.asarray(indices, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= 1 << n_qubits):
+        bad = idx[(idx < 0) | (idx >= 1 << n_qubits)][0]
+        raise IndexError(f"index {bad:x} is outside the {n_qubits}-qubit state")
+    return idx
+
+
 def fetch_amplitudes(state: StateBlock, indices) -> AmplitudeBatch:
     """Read amplitudes at the requested indices, in request order."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if len(idx) and (idx.min() < 0 or idx.max() >= len(state.amps)):
-        raise IndexError("amplitude index outside the state")
+    idx = basis_indices(indices, state.n_qubits)
     return AmplitudeBatch(idx, state.amps[idx].astype(ACC_DTYPE))
 
 
@@ -351,6 +354,8 @@ def write_amplitudes(
     exact form.  Any "count" or "sha256" entry of `header` is replaced by
     the file's own (exact form) or dropped (text form).
     """
+    if digits is not None and digits < 1:
+        raise ValueError(f"digits must be at least 1, got {digits}")
     header = {k: v for k, v in (header or {}).items() if k not in _EXACT_KEYS}
     if digits is None:
         payload = base64.b64encode(

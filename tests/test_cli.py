@@ -1,6 +1,8 @@
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 import gridsim
+from gridsim import cli
 from gridsim.cli import main
 from gridsim.costmodel import CostParams, total_seconds
 from gridsim.sampler import SampleRequest, committed_indices, sample_basic
@@ -119,6 +122,12 @@ class TestSimulatePathsim:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    def test_digits_below_one_fail_before_any_output(self, circuit_file, tmp_path, capsys):
+        out = tmp_path / "out.amp"
+        assert main(["simulate", str(circuit_file), "--digits", "0", "-o", str(out)]) == 1
+        assert capsys.readouterr().err == "error: digits must be at least 1, got 0\n"
+        assert not out.exists()
+
     def test_index_file_restricts_output(self, circuit_file, tmp_path):
         idx_file = tmp_path / "idx.txt"
         idx_file.write_text("# three requests\n0\nff\n1a0\n")
@@ -147,6 +156,24 @@ class TestPlan:
         assert fc["machine"] == "std-16"
         assert fc["t_clock_hours"] == pytest.approx(fc["t_bill_hours"])
         assert fc["cost"] == pytest.approx(fc["t_bill_hours"] * 0.72)
+
+    @pytest.mark.parametrize("content, field", [
+        ('{"C1": 2e-9, "C2": 1.1}', "C3"),
+        ("[2e-9, 1.1, 7e-9]", "C1"),
+    ], ids=["missing-field", "not-an-object"])
+    def test_params_file_names_the_field_it_lacks(self, circuit_file, tmp_path, capsys,
+                                                  content, field):
+        params = tmp_path / "p.json"
+        params.write_text(content)
+        assert main(["plan", str(circuit_file), "--params", str(params)]) == 1
+        assert capsys.readouterr().err == f"error: {params} lacks {field}\n"
+
+    def test_params_file_names_a_field_that_is_not_a_number(self, circuit_file, tmp_path,
+                                                           capsys):
+        params = tmp_path / "p.json"
+        params.write_text('{"C1": [2e-9], "C2": 1.1, "C3": 7e-9}')
+        assert main(["plan", str(circuit_file), "--params", str(params)]) == 1
+        assert capsys.readouterr().err == f"error: {params}: C1 is not a number\n"
 
     def test_forecast_counts_iswap_paths(self, tmp_path, capsys):
         circuit = tmp_path / "iswap.txt"
@@ -318,3 +345,54 @@ class TestValidateProtocol:
         assert main(["validate", "verifier", str(circ), "--challenge", str(challenge),
                      "--response", str(fake), "--path-seed", "93"]) == 1
         assert capsys.readouterr().out.startswith("FAIL")
+
+    def test_private_file_names_the_field_it_lacks(self, tmp_path, capsys):
+        circ = tmp_path / "circ.txt"
+        run_ok(["generate", "--rows", "2", "--cols", "3", "--depth", "6", "-o", str(circ)])
+        challenge = tmp_path / "ch.json"
+        run_ok(["validate", "verifier", str(circ), "--challenge", str(challenge), "--k", "16"])
+        response = tmp_path / "r.amp"
+        run_ok(["validate", "claimant", str(circ), "--challenge", str(challenge),
+                "-o", str(response)])
+        private = tmp_path / "ch.json.private"
+        private.write_text("{}\n")
+        capsys.readouterr()
+        assert main(["validate", "verifier", str(circ), "--challenge", str(challenge),
+                     "--response", str(response)]) == 1
+        assert capsys.readouterr().err == f"error: {private} lacks f1\n"
+
+
+def _gridsim_error_classes():
+    """Every *Error class defined in a gridsim module."""
+    found = {}
+    for info in pkgutil.iter_modules(gridsim.__path__):
+        module = importlib.import_module(f"gridsim.{info.name}")
+        for name, obj in vars(module).items():
+            if (name.endswith("Error") and isinstance(obj, type)
+                    and issubclass(obj, Exception) and obj.__module__ == module.__name__):
+                found[name] = obj
+    return [found[name] for name in sorted(found)]
+
+
+def test_error_classes_are_found():
+    names = {cls.__name__ for cls in _gridsim_error_classes()}
+    assert {"CircuitError", "ParseError", "CostModelError", "CampaignError", "MergeError",
+            "SamplingError", "ValidationError"} <= names
+
+
+@pytest.mark.parametrize("cls", _gridsim_error_classes(), ids=lambda cls: cls.__name__)
+def test_every_gridsim_error_ends_as_a_clean_error(cls, monkeypatch, capsys):
+    # main's except clause names base classes only; every error the
+    # library defines must still end as one "error:" line and exit code 1
+    try:
+        exc = cls("boom")
+    except TypeError:  # ParseError takes a line number first
+        exc = cls(1, "boom")
+
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_audit", fail)
+    assert main(["audit", "circ.txt"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "boom" in captured.err

@@ -295,6 +295,11 @@ class TestSplitRequests:
         np.testing.assert_array_equal(idx_a, ((idx >> 3) & 1) << 1 | ((idx >> 1) & 1))
         np.testing.assert_array_equal(idx_b, ((idx >> 2) & 1) << 1 | (idx & 1))
 
+    def test_names_the_first_index_outside(self):
+        for bad, word in (([15, 16, -1], "10"), ([-2, 16], "-2")):
+            with pytest.raises(IndexError, match=f"^index {word} is outside the 4-qubit state$"):
+                split_requests(4, (0, 1), (2, 3), np.array(bad, dtype=np.int64))
+
 
 class TestTwoQubitPaths:
     def setup_method(self):

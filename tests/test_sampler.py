@@ -61,6 +61,16 @@ class TestCommittedIndices:
         shifted = committed_indices(req, offset=100)
         np.testing.assert_array_equal(shifted[: full.size - 100], full[100:])
 
+    @pytest.mark.parametrize("n", [33, 49, 56])
+    @pytest.mark.parametrize("offset", [1, 2, 3, 4, 5, 7, 100, 333])
+    def test_offset_continues_the_64_bit_stream(self, n, offset):
+        # past 32 qubits each draw takes one 64-bit word, four to a Philox block
+        req = SampleRequest(n, count=40)
+        full = committed_indices(req)
+        shifted = committed_indices(req, offset=offset)
+        np.testing.assert_array_equal(shifted[: full.size - offset], full[offset:])
+        assert full.max() >= 1 << 32
+
     def test_negative_offset_rejected(self):
         with pytest.raises(SamplingError):
             committed_indices(SampleRequest(4, count=1), offset=-1)

@@ -401,6 +401,18 @@ class TestAmplitudeIO:
         with pytest.raises(Exception):
             fetch_amplitudes(state, np.array([1 << 9], dtype=np.int64))
 
+    def test_fetch_names_the_first_index_outside(self, circuit_3x3_d12):
+        state = run_full(circuit_3x3_d12)
+        for bad, word in (([3, 1 << 9, -1], "200"), ([3, -5, 1 << 10], "-5")):
+            with pytest.raises(IndexError, match=f"^index {word} is outside the 9-qubit state$"):
+                fetch_amplitudes(state, np.array(bad, dtype=np.int64))
+
+    def test_digits_below_one_rejected_before_the_file_opens(self, tmp_path):
+        path = tmp_path / "amps.txt"
+        with pytest.raises(ValueError, match="digits must be at least 1, got 0"):
+            write_amplitudes(path, statevec.AmplitudeBatch([0], [1.0]), digits=0)
+        assert not path.exists()
+
     def test_write_read_round_trip(self, tmp_path, circuit_3x3_d12):
         state = run_full(circuit_3x3_d12)
         batch = fetch_amplitudes(state, np.arange(32, dtype=np.int64))
