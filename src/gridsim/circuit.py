@@ -97,15 +97,6 @@ class Gate:
         elif self.matrix is not None:
             raise CircuitError(f"{self.kind.value} does not take a matrix")
 
-    def __eq__(self, other):
-        if not isinstance(other, Gate):
-            return NotImplemented
-        if (self.cycle, self.kind, self.qubits) != (other.cycle, other.kind, other.qubits):
-            return False
-        if self.matrix is None or other.matrix is None:
-            return self.matrix is None and other.matrix is None
-        return np.array_equal(self.matrix, other.matrix)
-
 
 def gate_matrix(gate: Gate) -> np.ndarray:
     """Unitary for a gate, 2x2 or 4x4 complex128."""
@@ -125,7 +116,7 @@ def _default_grid(n: int) -> tuple[int, int]:
 
 @dataclass(eq=False)
 class Circuit:
-    """Gate list over a rows x cols grid, kept stably sorted by cycle."""
+    """Gate list over a rows x cols grid, kept stably sorted by cycle; compared by identity."""
 
     rows: int
     cols: int
@@ -173,16 +164,6 @@ class Circuit:
         hs = {g.qubits[0] for g in self.gates if g.cycle == cycle and g.kind is GateKind.H}
         others = any(g.cycle == cycle and g.kind is not GateKind.H for g in self.gates)
         return not others and hs == set(range(self.n_qubits))
-
-    def __eq__(self, other):
-        if not isinstance(other, Circuit):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and len(self.gates) == len(other.gates)
-            and all(a == b for a, b in zip(self.gates, other.gates))
-        )
 
 
 def _grid_adjacent(a: int, b: int, cols: int) -> bool:
@@ -271,7 +252,7 @@ def serialize_circuit(circuit: Circuit) -> str:
 
 
 def circuit_hash(circuit: Circuit) -> str:
-    """Stable hex digest of the canonical serialization plus grid shape."""
+    """A circuit's identity: stable hex digest of its canonical serialization and grid."""
     payload = f"{circuit.rows}x{circuit.cols}\n" + serialize_circuit(circuit)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 

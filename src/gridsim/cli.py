@@ -10,7 +10,7 @@ import sys
 import numpy as np
 
 from .benchgen import GenSpec, audit, generate, instance_filename
-from .circuit import Circuit, GateKind, circuit_hash, parse_circuit, serialize_circuit
+from .circuit import Circuit, CircuitError, GateKind, circuit_hash, parse_circuit, serialize_circuit
 from .costmodel import CostParams, forecast, plan_digits
 from .orchestrator import SHARD_DIGITS, CampaignError, merge, run_campaign, status
 from .pathsum import make_plan, run_approx
@@ -22,19 +22,26 @@ MAX_DEFAULT_AMPS_QUBITS = 20
 
 
 def _read_circuit(path: str, rows: int | None, cols: int | None) -> Circuit:
-    with open(path) as f:
-        return parse_circuit(f.read(), rows=rows, cols=cols)
+    try:
+        with open(path) as f:
+            return parse_circuit(f.read(), rows=rows, cols=cols)
+    except CircuitError as exc:
+        raise CircuitError(f"{path}: {exc}") from None
 
 
 def _read_indices(path: str) -> np.ndarray:
     """One hex basis index per line; blank lines and # comments skipped."""
     out = []
     with open(path) as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            out.append(int(line.split()[0], 16))
+            word = line.split()[0]
+            try:
+                out.append(int(word, 16))
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: {word!r} is not a hex index") from None
     if not out:
         raise ValueError(f"no indices found in {path}")
     return np.array(out, dtype=np.int64)

@@ -116,15 +116,12 @@ def _b_diag2(arr: np.ndarray, nb: int, qa: int, qb: int, d4) -> None:
     m = np.asarray(d4).reshape(2, 2)
     if qa > qb:
         m = m.T
-    (m00, m01), (m10, m11) = m.tolist()
+    # only the quarters whose entry is not 1: CZ touches one
+    quarters = [(i, j, m[i, j]) for i in (0, 1) for j in (0, 1) if m[i, j] != 1]
 
     def body(view):
-        if view.shape[-1] > 1 and 1 not in (m00, m01, m10, m11):  # as in _b_diag1
-            view *= m.reshape(1, 1, 2, 1, 2, 1)
-            return
-        for i, j, v in ((0, 0, m00), (0, 1, m01), (1, 0, m10), (1, 1, m11)):
-            if v != 1:  # CZ touches one quarter
-                view[:, :, i, :, j, :] *= m[i, j]
+        for i, j, v in quarters:
+            view[:, :, i, :, j, :] *= v
 
     _by_column(_b_view2(arr, nb, qa, qb), body)
 
@@ -374,9 +371,10 @@ def write_amplitudes(
             f.write(line + "\n")
 
 
-def _read_file(path) -> tuple[dict, memoryview]:
-    """The leading '# key value' header entries of an amplitude file, and
-    a view of the rest with outer whitespace trimmed."""
+def _read_file(path) -> tuple[dict, memoryview, int]:
+    """The leading '# key value' header entries of an amplitude file, a
+    view of the rest with outer whitespace trimmed, and the number of the
+    line that view starts on."""
     with open(path, "rb") as f:
         data = f.read()
     header: dict[str, str] = {}
@@ -394,7 +392,7 @@ def _read_file(path) -> tuple[dict, memoryview]:
         pos = end
     while stop > pos and data[stop - 1 : stop].isspace():
         stop -= 1
-    return header, memoryview(data)[pos:stop]
+    return header, memoryview(data)[pos:stop], data.count(b"\n", 0, pos) + 1
 
 
 def _check_payload(header: dict, payload) -> int:
@@ -423,7 +421,7 @@ def read_amplitude_header(path) -> dict:
     checked against its sha256 and count headers without being decoded; a
     mismatch, or a file that is not in the exact form, raises ValueError.
     """
-    header, body = _read_file(path)
+    header, body, _ = _read_file(path)
     _check_payload(header, body)
     return header
 
@@ -432,25 +430,24 @@ def read_amplitudes(path) -> tuple[AmplitudeBatch, dict]:
     """Parse an amplitude file of either form; returns the batch and its header.
 
     An exact file is checked against its sha256 and count before it is
-    decoded, and any mismatch raises ValueError.
+    decoded, and any mismatch raises ValueError.  A text file's '#' lines
+    after the data are skipped like blank ones; a malformed line raises
+    ValueError naming the file and the line.
     """
-    header, body = _read_file(path)
+    header, body, first = _read_file(path)
     if "sha256" in header:
         return _decode_exact(header, body), header
     indices: list[int] = []
     amps: list[complex] = []
-    for raw in bytes(body).split(b"\n"):
+    for lineno, raw in enumerate(bytes(body).split(b"\n"), start=first):
         line = raw.strip()
-        if not line:
+        if not line or line.startswith(b"#"):
             continue
-        if line.startswith(b"#"):
-            entry = line[1:].decode().split(None, 1)
-            if len(entry) == 2:
-                header[entry[0]] = entry[1]
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"amplitude line {line!r}: expected 3 fields")
-        indices.append(int(parts[0], 16))
-        amps.append(complex(float(parts[1]), float(parts[2])))
+        try:
+            index, real, imag = line.split()
+            indices.append(int(index, 16))
+            amps.append(complex(float(real), float(imag)))
+        except ValueError:
+            text = line.decode(errors="replace")
+            raise ValueError(f"{path}: line {lineno}: {text!r} is not 'index_hex re im'") from None
     return AmplitudeBatch(np.array(indices, dtype=np.int64), np.array(amps)), header

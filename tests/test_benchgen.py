@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gridsim.benchgen import GenSpec, audit, generate, instance_filename, layer_schedule
-from gridsim.circuit import CircuitError, GateKind, circuit_hash, serialize_circuit
+from gridsim.circuit import CircuitError, GateKind, circuit_hash, parse_circuit, serialize_circuit
 from gridsim.pathsum import make_plan
 
 
@@ -108,6 +108,11 @@ class TestFillRules:
         for version in ("v1", "v2"):
             rep = audit(generate(GenSpec(3, 5, 18, version, seed=2)))
             assert rep.repeat_violations == 0
+
+    def test_hand_written_repeat_is_counted(self):
+        # t then t on qubit 0; the H layers and the t on qubit 1 repeat nothing
+        circ = parse_circuit("2\n0 h 0\n0 h 1\n1 t 0\n1 t 1\n2 t 0\n3 h 0\n3 h 1\n")
+        assert audit(circ).repeat_violations == 1
 
 
 class TestCounts:

@@ -9,6 +9,7 @@ from gridsim.circuit import (
     CircuitError,
     Gate,
     GateKind,
+    ParseError,
     all_cuts,
     choose_cut,
     circuit_hash,
@@ -201,3 +202,41 @@ class TestCircuitChecks:
         circ = Circuit(rows=2, cols=2)
         assert circ.n_qubits == 4
         assert circ.n_cycles == 0
+
+
+_G2_QUBITS = "4\n0 g2 0 1 "
+
+
+@pytest.mark.parametrize("make, error, line", [
+    pytest.param(lambda: parse_circuit("2 3\n0 h 0\n"), ParseError, 1, id="count-line-fields"),
+    pytest.param(lambda: parse_circuit("zero\n"), ParseError, 1, id="count-not-int"),
+    pytest.param(lambda: parse_circuit("# c\n0\n"), ParseError, 2, id="count-not-positive"),
+    pytest.param(lambda: parse_circuit("2\n0 h\n"), ParseError, 2, id="short-gate-line"),
+    pytest.param(lambda: parse_circuit("2\nx h 0\n"), ParseError, 2, id="cycle-not-int"),
+    pytest.param(lambda: parse_circuit("2\n\n0 frob 0\n"), ParseError, 3, id="unknown-gate"),
+    pytest.param(lambda: parse_circuit(_G2_QUBITS + "1 0\n"), ParseError, 2, id="g2-entry-count"),
+    pytest.param(lambda: parse_circuit(_G2_QUBITS + "x " * 32), ParseError, 2, id="g2-bad-entry"),
+    pytest.param(lambda: parse_circuit("2\n0 h 0 1\n"), ParseError, 2, id="argument-count"),
+    pytest.param(lambda: parse_circuit("2\n0 h a\n"), ParseError, 2, id="qubit-not-int"),
+    pytest.param(lambda: parse_circuit("2\n0 h 0\n-1 t 1\n"), ParseError, 3, id="gate-check"),
+    pytest.param(lambda: parse_circuit("# only comments\n\n"), ParseError, 1, id="empty-file"),
+    pytest.param(lambda: parse_circuit("6\n0 h 0\n", rows=2, cols=2), CircuitError, None,
+                 id="grid-does-not-hold"),
+    pytest.param(lambda: parse_circuit("2\n0 h 2\n"), CircuitError, None, id="invalid-circuit"),
+    pytest.param(lambda: Gate(0, GateKind.H, (0, 1)), CircuitError, None, id="gate-arity"),
+    pytest.param(lambda: Gate(0, GateKind.GENERIC_2Q, (0, 1)), CircuitError, None,
+                 id="g2-without-matrix"),
+    pytest.param(lambda: Gate(0, GateKind.GENERIC_2Q, (0, 1), np.eye(2)), CircuitError, None,
+                 id="g2-matrix-shape"),
+    pytest.param(lambda: Gate(0, GateKind.H, (0,), np.eye(2)), CircuitError, None,
+                 id="fixed-gate-with-matrix"),
+    pytest.param(lambda: Circuit(0, 3), CircuitError, None, id="empty-grid"),
+    pytest.param(lambda: choose_cut(Circuit(1, 1)), CircuitError, None, id="no-cut"),
+])
+def test_every_input_check_raises_its_error(make, error, line):
+    with pytest.raises(CircuitError) as info:
+        make()
+    assert type(info.value) is error
+    if error is ParseError:
+        assert info.value.lineno == line
+        assert str(info.value).startswith(f"line {line}: ")

@@ -5,6 +5,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tomllib
 
 import numpy as np
 import pytest
@@ -39,6 +40,26 @@ def test_cli_import_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_module_entry_point_runs_and_fails_cleanly(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gridsim.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    run = lambda *argv: subprocess.run([sys.executable, "-m", "gridsim.cli", *argv], env=env,
+                                       cwd=tmp_path, capture_output=True, text=True)
+    ok = run("generate", "--rows", "2", "--cols", "2", "--depth", "2")
+    assert ok.returncode == 0 and ok.stdout.startswith("4\n")
+    bad = run("audit", "missing.txt")
+    assert bad.returncode == 1 and bad.stdout == ""
+    assert bad.stderr == "error: [Errno 2] No such file or directory: 'missing.txt'\n"
+
+
+def test_console_script_resolves_to_main():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as f:
+        target = tomllib.load(f)["project"]["scripts"]["gridsim"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is main
 
 
 class TestGenerate:
@@ -135,6 +156,33 @@ class TestSimulatePathsim:
         run_ok(["simulate", str(circuit_file), "--amps", str(idx_file), "-o", str(out)])
         batch, _ = read_amplitudes(out)
         np.testing.assert_array_equal(batch.indices, [0, 0xFF, 0x1A0])
+
+    def test_bad_index_names_file_and_line(self, circuit_file, tmp_path, capsys):
+        idx_file = tmp_path / "bad.idx"
+        idx_file.write_text("0\nzz\n")
+        assert main(["simulate", str(circuit_file), "--amps", str(idx_file)]) == 1
+        assert capsys.readouterr().err == f"error: {idx_file}: line 2: 'zz' is not a hex index\n"
+
+    def test_index_file_of_comments_only_rejected(self, circuit_file, tmp_path, capsys):
+        idx_file = tmp_path / "empty.idx"
+        idx_file.write_text("# nothing here\n\n")
+        assert main(["simulate", str(circuit_file), "--amps", str(idx_file)]) == 1
+        assert capsys.readouterr().err == f"error: no indices found in {idx_file}\n"
+
+    def test_bad_circuit_line_names_file_and_line(self, tmp_path, capsys):
+        circ = tmp_path / "c.txt"
+        circ.write_text("4\n0 h 0\n1 q 1\n")
+        assert main(["simulate", str(circ)]) == 1
+        assert capsys.readouterr().err == f"error: {circ}: line 3: unknown gate name 'q'\n"
+
+    def test_every_amplitude_of_21_qubits_needs_an_index_file(self, tmp_path, capsys):
+        circ = tmp_path / "c21.txt"
+        circ.write_text("21\n0 h 0\n")
+        assert main(["simulate", str(circ)]) == 1
+        assert capsys.readouterr().err == (
+            "error: 21 qubits is too many to return every amplitude; "
+            "pass --amps with an index file\n"
+        )
 
 
 class TestPlan:
@@ -258,6 +306,20 @@ class TestSample:
         assert main(["sample", "--amps", str(amp_file), "--count", "5"]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("line", ["zz 1.0 0.0", "0 1.0"], ids=["bad-index", "two-fields"])
+    def test_bad_amplitude_line_names_file_and_line(self, tmp_path, capsys, line):
+        amp_file = tmp_path / "bad.amp"
+        amp_file.write_text(f"# n_qubits 1\n{line}\n1 0.0 0.0\n")
+        assert main(["sample", "--amps", str(amp_file), "--count", "5"]) == 1
+        want = f"error: {amp_file}: line 2: '{line}' is not 'index_hex re im'\n"
+        assert capsys.readouterr().err == want
+
+    def test_file_without_probability_mass_rejected(self, tmp_path, capsys):
+        amp_file = tmp_path / "zero.amp"
+        amp_file.write_text("# n_qubits 1\n0 0.0 0.0\n1 0.0 -0.0\n")
+        assert main(["sample", "--amps", str(amp_file), "--count", "5"]) == 1
+        assert capsys.readouterr().err == "error: amplitude file carries no probability mass\n"
+
 
 class TestCampaign:
     def test_run_status_merge_cycle(self, circuit_file, tmp_path, capsys):
@@ -279,6 +341,13 @@ class TestCampaign:
         b, _ = read_amplitudes(direct)
         np.testing.assert_allclose(a.amps, b.amps, atol=1e-7)
         assert json.loads(report.read_text())["jobs"] >= 1
+
+    def test_run_output_is_the_merge_output(self, circuit_file, tmp_path):
+        common = ["--circuit", str(circuit_file), "--dir", str(tmp_path / "shards"),
+                  "--fidelity", "0.5", "--xb", "0", "--seed", "2"]
+        run_ok(["campaign", "run", "-o", str(tmp_path / "run.amp"), *common])
+        run_ok(["campaign", "merge", "-o", str(tmp_path / "merge.amp"), *common])
+        assert (tmp_path / "run.amp").read_bytes() == (tmp_path / "merge.amp").read_bytes()
 
     def test_worker_count_does_not_change_the_plan(self, tmp_path, capsys):
         # status and merge rebuild the plan without --workers, so the run's

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,6 +59,13 @@ class TestCalibrate:
         row = synthetic_results(2e-9, 1.1, 7e-9)[0]
         with pytest.raises(CostModelError):
             calibrate([row, row, row])
+
+    def test_non_physical_fit_rejected(self):
+        # the 65,536-amplitude run made 10x faster asks for a negative C3
+        rows = synthetic_results(2e-9, 1.1, 7e-9)
+        rows[5] = dataclasses.replace(rows[5], seconds=rows[5].seconds / 10)
+        with pytest.raises(CostModelError, match="^fit produced non-physical constants"):
+            calibrate(rows)
 
     def test_residuals_reported_per_run(self):
         rows = synthetic_results(2e-9, 1.1, 7e-9, noise=0.01, seed=1)
@@ -197,3 +206,11 @@ class TestValidation:
         )
         for row in card.values():
             assert row["price_per_hour"] > 0
+
+    def test_rate_card_from_a_file(self, tmp_path):
+        path = tmp_path / "card.json"
+        path.write_text('{"machines": {"tiny-2": {"vcpus": 2, "price_per_hour": 0.1}}}\n')
+        assert load_rate_card(str(path)) == {"tiny-2": {"vcpus": 2, "price_per_hour": 0.1}}
+        path.write_text('{"tiny-2": {"vcpus": 2}}\n')
+        with pytest.raises(CostModelError, match="^rate card entry 'tiny-2' lacks price_per_hour$"):
+            load_rate_card(str(path))

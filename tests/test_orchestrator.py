@@ -320,6 +320,32 @@ class TestMerge:
         with pytest.raises(MergeError):
             merge(circuit, plan, requests, shard_dir)
 
+    def test_shard_copied_to_another_jobs_filename_rejected(self, small, tmp_path):
+        circuit, plan, requests = small
+        shard_dir = str(tmp_path)
+        run_campaign(circuit, plan, requests, shard_dir)
+        donor, victim = shard(circuit, plan, requests)[:2]
+        shutil.copy(os.path.join(shard_dir, donor.filename),
+                    os.path.join(shard_dir, victim.filename))
+        want = f"prefix {victim.prefix}: header does not match the job$"
+        with pytest.raises(MergeError, match=want) as err:
+            merge(circuit, plan, requests, shard_dir)
+        assert err.value.failed == (victim.prefix,)
+
+    def test_exact_shard_answering_other_indices_rejected(self, small, tmp_path):
+        circuit, plan, requests = small
+        shard_dir = str(tmp_path)
+        run_campaign(circuit, plan, requests, shard_dir)
+        victim = shard(circuit, plan, requests)[1]
+        path = os.path.join(shard_dir, victim.filename)
+        batch, header = read_amplitudes(path)
+        other = AmplitudeBatch(batch.indices[::-1], batch.amps)
+        write_amplitudes(path, other, digits=None, header=header)
+        want = f"prefix {victim.prefix}: answers different request indices$"
+        with pytest.raises(MergeError, match=want) as err:
+            merge(circuit, plan, requests, shard_dir)
+        assert err.value.failed == (victim.prefix,)
+
 
 def _damage_payload(path, damage):
     lines = open(path).read().splitlines()

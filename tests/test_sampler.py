@@ -194,6 +194,11 @@ class TestBatchValidation:
         with pytest.raises(SamplingError):
             SampleRequest(4, count=1, m_star=0)
 
+    @pytest.mark.parametrize("epsilon", [0.0, 1.0])
+    def test_epsilon_outside_the_open_unit_interval_rejected(self, epsilon):
+        with pytest.raises(SamplingError, match="epsilon must be in"):
+            SampleRequest(4, count=1, epsilon=epsilon)
+
 
 class TestTailMass:
     def test_uniform_state_has_no_tail(self):
@@ -238,6 +243,10 @@ class TestPorterThomasFit:
     def test_rejects_small_batches(self):
         with pytest.raises(SamplingError):
             porter_thomas_fit(np.full(100, 1e-3))
+
+    def test_rejects_a_batch_without_probability_mass(self):
+        with pytest.raises(SamplingError, match="^batch has no probability mass$"):
+            porter_thomas_fit(np.zeros(10000))
 
     def test_closed_form_matches_scipy_kstest(self):
         stats = pytest.importorskip("scipy.stats")

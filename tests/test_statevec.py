@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import tracemalloc
 
@@ -424,3 +425,44 @@ class TestAmplitudeIO:
         np.testing.assert_array_equal(
             back.amps.astype(np.complex128), batch.amps.astype(np.complex128)
         )
+
+    def test_batch_rejects_indices_and_amplitudes_of_different_lengths(self):
+        with pytest.raises(ValueError, match="indices and amplitudes differ in length"):
+            statevec.AmplitudeBatch([0, 1], [1.0])
+
+    def test_exact_payload_with_non_base64_characters_rejected(self, tmp_path):
+        # a2b_base64 drops the four '!' and decodes 3 bytes short, although
+        # the sha256 and count headers match the payload as written
+        path = tmp_path / "exact.amp"
+        write_amplitudes(path, statevec.AmplitudeBatch([0, 1], [1.0, 0.5j]), digits=None)
+        lines = path.read_text().splitlines()
+        payload = "!!!!" + lines[-1][4:]
+        digest = hashlib.sha256(payload.encode()).hexdigest()
+        path.write_text(f"# count 2\n# sha256 {digest}\n{payload}\n")
+        with pytest.raises(ValueError, match="^exact payload holds 45 bytes, not 2 amplitudes$"):
+            read_amplitudes(path)
+
+    def test_indented_first_data_line_parses(self, tmp_path):
+        path = tmp_path / "amps.txt"
+        path.write_text("# n_qubits 1\n  0 1.0 0.0\n1 0.0 -0.5\n")
+        batch, header = read_amplitudes(path)
+        assert header == {"n_qubits": "1"}
+        np.testing.assert_array_equal(batch.indices, [0, 1])
+        np.testing.assert_array_equal(batch.amps, [1.0, -0.5j])
+
+    def test_comment_lines_after_the_data_are_skipped(self, tmp_path):
+        path = tmp_path / "amps.txt"
+        path.write_text("# n_qubits 1\n0 1.0 0.0\n# tag late\n\n1 0.0 0.0\n")
+        batch, header = read_amplitudes(path)
+        assert header == {"n_qubits": "1"}
+        np.testing.assert_array_equal(batch.indices, [0, 1])
+
+    @pytest.mark.parametrize("line", ["zz 1.0 0.0", "0 1.0", "0 1.0 0.0 7", "0 1.0 x"])
+    def test_malformed_text_line_names_file_and_line(self, tmp_path, line):
+        # line numbers count the header and blank lines before the data
+        path = tmp_path / "bad.amp"
+        path.write_text(f"# n_qubits 1\n\n1 0.5 0.0\n{line}\n")
+        want = f"{path}: line 4: '{line}' is not 'index_hex re im'"
+        with pytest.raises(ValueError) as info:
+            read_amplitudes(path)
+        assert str(info.value) == want

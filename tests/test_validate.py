@@ -147,6 +147,20 @@ class TestRounds:
         got = verifier_round(circuit, ch, response, path_seed=57)
         assert got == verifier_round(circuit, ch, response, path_seed=57, cut=vcut)
 
+    def test_unset_path_seed_comes_from_the_unseeded_generator(self, circuit, vcut, monkeypatch):
+        ch = issue_challenge(circuit, k=256, seed=42, f1=0.15)
+        response = claimant_round(circuit, ch, engine="exact")
+        seeded = np.random.default_rng
+
+        def fixed_when_unseeded(seed=None):
+            return seeded(77 if seed is None else seed)
+
+        monkeypatch.setattr(np.random, "default_rng", fixed_when_unseeded)
+        drawn = verifier_round(circuit, ch, response, cut=vcut)
+        path_seed = int(seeded(77).integers(1 << 62))
+        assert drawn == verifier_round(circuit, ch, response, path_seed=path_seed, cut=vcut)
+        assert drawn != verifier_round(circuit, ch, response, path_seed=path_seed + 1, cut=vcut)
+
     def test_round_is_deterministic_given_seeds(self, circuit, vcut, delta):
         ch = issue_challenge(circuit, k=2048, delta=delta, seed=31, f1=0.12)
         response = claimant_round(circuit, ch, engine="exact")
