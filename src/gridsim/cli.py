@@ -15,7 +15,7 @@ from .costmodel import CostParams, forecast, plan_digits
 from .orchestrator import SHARD_DIGITS, CampaignError, merge, run_campaign, status
 from .pathsum import make_plan, run_approx
 from .sampler import PT_MIN_COUNT, SampleRequest, committed_indices, porter_thomas_fit, sample
-from .statevec import basis_indices, fetch_amplitudes, read_amplitudes, run_full, write_amplitudes
+from .statevec import basis_indices, fetch_amplitudes, read_amplitudes, run_full, utf8_text, write_amplitudes
 from . import validate as validation
 
 MAX_DEFAULT_AMPS_QUBITS = 20
@@ -23,8 +23,8 @@ MAX_DEFAULT_AMPS_QUBITS = 20
 
 def _read_circuit(path: str, rows: int | None, cols: int | None) -> Circuit:
     try:
-        with open(path) as f:
-            return parse_circuit(f.read(), rows=rows, cols=cols)
+        with open(path, "rb") as f:
+            return parse_circuit(utf8_text(f.read(), path), rows=rows, cols=cols)
     except CircuitError as exc:
         raise CircuitError(f"{path}: {exc}") from None
 
@@ -32,8 +32,10 @@ def _read_circuit(path: str, rows: int | None, cols: int | None) -> Circuit:
 def _read_indices(path: str) -> np.ndarray:
     """One hex basis index per line; blank lines and # comments skipped."""
     out = []
-    with open(path) as f:
+    with open(path, errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
+            if not line.isascii():  # raises on a byte that is not UTF-8
+                utf8_text(line.encode(errors="surrogateescape"), path, lineno)
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

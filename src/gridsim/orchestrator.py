@@ -2,12 +2,16 @@
 
 A campaign splits one truncated hybrid run into independent jobs, one per
 retained prefix, executes them in worker processes, and folds the finished
-shard files into a single amplitude batch.  The shard files are the only
-coordination channel, and one rule decides them: a job's shard is the file
-its job names (`ShardJob.filename`), and it is done exactly when that file
-checks out, so a campaign killed at any point resumes by running it again
-over the same directory.  A file that no job names is never read; the
-merge refuses one that carries the campaign's plan hash in its name.
+shard files into a single amplitude batch.  A worker computes its share in
+row tiles of `pathsum.prefix_tile` jobs, one per-prefix `run_batched` call
+each, so its jobs pay for amplitude work rather than per-call overhead;
+every job still gets its own shard, bit-identical to a run of its prefix
+alone.  The shard files are the only coordination channel, and one rule
+decides them: a job's shard is the file its job names
+(`ShardJob.filename`), and it is done exactly when that file checks out,
+so a campaign killed at any point resumes by running it again over the
+same directory.  A file that no job names is never read; the merge
+refuses one that carries the campaign's plan hash in its name.
 
 Shards are exact amplitude files (statevec's base64 form with a sha256 of
 the payload in the header), so a merge over resumed shards is
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, circuit_hash
-from .pathsum import SimPlan, run_batched
+from .pathsum import SimPlan, prefix_tile, run_batched
 from .statevec import (
     AmplitudeBatch,
     read_amplitude_header,
@@ -149,24 +153,31 @@ def status(circuit: Circuit, plan: SimPlan, requests, shard_dir: str) -> Campaig
 
 
 def _worker(circuit, plan, requests, jobs, attempt, shard_dir, fault_spec):
-    """Child-process entry point: run assigned jobs in order, commit each via
-    atomic rename, and write the round number `attempt` into each header.
+    """Child-process entry point: run assigned jobs in order, one row tile
+    (`prefix_tile` jobs) per per-prefix `run_batched` call, and commit each
+    job of a tile via atomic rename before the next tile is computed; each
+    header carries the round number `attempt` and the tile's seconds split
+    evenly among its jobs.
 
     fault_spec maps prefix to the number of early rounds whose run of that
     job must die mid-commit (after the temporary file, before the rename).
     It exists so tests can kill jobs exactly the way a preempted node would.
     """
-    for job in jobs:
+    size = prefix_tile(plan, len(requests))
+    for s in range(0, len(jobs), size):
+        tile = jobs[s : s + size]
         start = time.perf_counter()
-        out = run_batched(circuit, plan, requests, prefixes=[job.prefix])
-        seconds = time.perf_counter() - start
-        header = {**job.header, "attempt": str(attempt), "seconds": f"{seconds:.6f}"}
-        final = os.path.join(shard_dir, job.filename)
-        tmp = _tmp_path(final, os.getpid())
-        write_amplitudes(tmp, out, digits=None, header=header)
-        if attempt <= fault_spec.get(job.prefix, 0):
-            os._exit(3)
-        os.replace(tmp, final)
+        prefixes = [job.prefix for job in tile]
+        outs = run_batched(circuit, plan, requests, prefixes=prefixes, per_prefix=True)
+        seconds = (time.perf_counter() - start) / len(tile)
+        for job, out in zip(tile, outs):
+            header = {**job.header, "attempt": str(attempt), "seconds": f"{seconds:.6f}"}
+            final = os.path.join(shard_dir, job.filename)
+            tmp = _tmp_path(final, os.getpid())
+            write_amplitudes(tmp, out, digits=None, header=header)
+            if attempt <= fault_spec.get(job.prefix, 0):
+                os._exit(3)
+            os.replace(tmp, final)
 
 
 def _tmp_path(final: str, pid: int) -> str:
@@ -179,7 +190,7 @@ class CampaignResult:
     plan_hash: str
     wall_seconds: float
     workers: int
-    per_job_seconds: dict[int, float]
+    per_job_seconds: dict[int, float]  # a tile's seconds, split evenly among its jobs
     child_exit_codes: list[list[int]]  # one list per round, one code per worker
 
     @property

@@ -11,11 +11,12 @@ of that tile, refilled per branch, and the last works on the tile itself.
 Tiles run on one thread per CPU of the process, at most two at a time;
 each lands its branches into its own partial sum, and the partials are
 added in tile order, so amplitudes do not depend on the thread count.  A
-call with one tile (a campaign job) or a joint-matrix landing stays on
-the calling thread.  Fidelity-controlled truncation keeps a seeded
-uniform subset of prefixes: retaining a fraction f of the path space
-yields a state whose squared norm, and whose fidelity against the exact
-state, are both close to f for chaotic circuits.
+call with one tile or a joint-matrix landing stays on the calling thread,
+and so does a per-prefix call (a campaign worker's tile of jobs), which
+lands each prefix into its own row.  Fidelity-controlled truncation keeps
+a seeded uniform subset of prefixes: retaining a fraction f of the path
+space yields a state whose squared norm, and whose fidelity against the
+exact state, are both close to f for chaotic circuits.
 
 `seeded_subset` is the one selector of seeded distinct ids: it picks the
 retained prefixes here and the verifier's challenge indices in validate.
@@ -319,12 +320,23 @@ _THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else
 _TILES_AT_ONCE = 2
 
 
+def prefix_tile(plan: SimPlan, n_req: int) -> int:
+    """Prefixes per row tile of a per-prefix call: both block rows of a
+    prefix and its complex128 output row fit statevec's slice budget, split
+    among its branches, so a tile's size does not depend on how many
+    prefixes a call holds."""
+    row = np.dtype(DTYPE).itemsize * ((1 << plan.cut.n_a) + (1 << plan.cut.n_b))
+    row += np.dtype(ACC_DTYPE).itemsize * n_req
+    return max(1, statevec._SLICE_BYTES // row // plan.branch_space)
+
+
 def run_batched(
     circuit: Circuit,
     plan: SimPlan,
     requests,
     prefixes=None,
-) -> AmplitudeBatch:
+    per_prefix: bool = False,
+) -> AmplitudeBatch | list[AmplitudeBatch]:
     """Sum over every path through `prefixes` (default: the retained ones).
 
     Prefixes advance in near-equal row tiles, two (rows, 2^q) arrays sized
@@ -336,13 +348,19 @@ def run_batched(
     added in tile order, so amplitudes do not depend on the thread count.
     Tiles run on one thread per CPU, at most _TILES_AT_ONCE at a time and
     one more queued, so a call holds a few tiles' working sets whatever
-    the CPU count. A call with one tile (prefixes=[p], one campaign job)
-    stays on its thread, and so does a joint landing (requests covering
-    most of the joint space, contracted by one matrix product per tile):
-    its partials are (2^n_a, 2^n_b) matrices. On 2 vCPUs, threads took a
-    4x5 10+10 cell (all 2^20 amplitudes, 512 prefixes) from a 64 to a
-    116-118 MiB traced peak for no gain (0.36-0.44 s against 0.38-0.51 s),
-    though c23's 4x4 cell at f=1/4 gained (2.5-2.9 s against 3.1-3.5 s).
+    the CPU count. A call with one tile stays on its thread, and so does a
+    joint landing (requests covering most of the joint space, contracted
+    by one matrix product per tile): its partials are (2^n_a, 2^n_b)
+    matrices. On 2 vCPUs, threads took a 4x5 10+10 cell (all 2^20
+    amplitudes, 512 prefixes) from a 64 to a 116-118 MiB traced peak for
+    no gain (0.36-0.44 s against 0.38-0.51 s), though c23's 4x4 cell at
+    f=1/4 gained (2.5-2.9 s against 3.1-3.5 s).
+
+    With per_prefix, the call returns one AmplitudeBatch per prefix, in
+    order, each bit-identical to a call with that prefix alone: tiles of
+    `prefix_tile` prefixes land every path into their own row of a
+    (rows, n_req) partial, with no joint landing, on the calling thread
+    (campaign workers are already one process per CPU).
     """
     cut = plan.cut
     ops = _lower(circuit, cut)
@@ -354,16 +372,19 @@ def run_batched(
     idx_a, idx_b = split_requests(circuit.n_qubits, cut.block_a, cut.block_b, requests)
     na, nb = 1 << cut.n_a, 1 << cut.n_b
     n_req = idx_a.size
-    use_joint = n_req * 4 >= na * nb and na * nb <= (1 << 24)
-    joint = np.zeros((na, nb), dtype=ACC_DTYPE) if use_joint else None
-    acc = None if use_joint else np.zeros(n_req, dtype=ACC_DTYPE)
+    use_joint = not per_prefix and n_req * 4 >= na * nb and na * nb <= (1 << 24)
     item = np.dtype(DTYPE).itemsize
-    n_tiles = max(1, -(-prefixes.size // max(1, statevec._SLICE_BYTES // (item * (na + nb)))))
+    if per_prefix:
+        tile_rows = prefix_tile(plan, n_req)
+    else:
+        tile_rows = max(1, statevec._SLICE_BYTES // (item * (na + nb)))
+    n_tiles = max(1, -(-prefixes.size // tile_rows))
     rows = max(1, -(-prefixes.size // n_tiles))
     tiles = [prefixes[s : s + rows] for s in range(0, prefixes.size, rows)]
     n_blk = (cut.n_a, cut.n_b)
     branch_digits = _digit_columns(np.arange(plan.branch_space), plan.radices[x_p:])
     last = plan.branch_space - 1
+    gather = "pi,pi->pi" if per_prefix else "pi,pi->i"
 
     def land(blocks, part):
         if use_joint:
@@ -373,7 +394,7 @@ def run_batched(
         for s in range(0, n_req, width):
             ga = blocks[0][:, idx_a[s : s + width]]
             gb = blocks[1][:, idx_b[s : s + width]]
-            part[s : s + width] += np.einsum("pi,pi->i", ga, gb, dtype=ACC_DTYPE)
+            part[..., s : s + width] += np.einsum(gather, ga, gb, dtype=ACC_DTYPE)
 
     def tile_sum(tile, part):
         digits = _digit_columns(tile, plan.radices[:x_p])
@@ -394,6 +415,11 @@ def run_batched(
             land(work, part)
         return part
 
+    if per_prefix:
+        parts = [tile_sum(tile, np.zeros((tile.size, n_req), dtype=ACC_DTYPE)) for tile in tiles]
+        return [AmplitudeBatch(requests, row) for part in parts for row in part]
+    joint = np.zeros((na, nb), dtype=ACC_DTYPE) if use_joint else None
+    acc = None if use_joint else np.zeros(n_req, dtype=ACC_DTYPE)
     threads = 1 if use_joint else min(_THREADS, _TILES_AT_ONCE, len(tiles))
     if threads < 2:
         # on one thread the joint landing adds every tile straight into joint

@@ -371,6 +371,16 @@ def write_amplitudes(
             f.write(line + "\n")
 
 
+def utf8_text(data: bytes, path, first_line: int = 1) -> str:
+    """data decoded as UTF-8; ValueError names the path and the line of
+    the first byte that is not, counting data's first line as first_line."""
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        line = first_line + data.count(b"\n", 0, exc.start)
+        raise ValueError(f"{path}: line {line}: byte 0x{data[exc.start]:02x} is not UTF-8") from None
+
+
 def _read_file(path) -> tuple[dict, memoryview, int]:
     """The leading '# key value' header entries of an amplitude file, a
     view of the rest with outer whitespace trimmed, and the number of the
@@ -386,7 +396,7 @@ def _read_file(path) -> tuple[dict, memoryview, int]:
         line = data[pos:end].strip()
         if line and not line.startswith(b"#"):
             break
-        entry = line[1:].decode().split(None, 1)
+        entry = utf8_text(line[1:], path, data.count(b"\n", 0, pos) + 1).split(None, 1)
         if len(entry) == 2:
             header[entry[0]] = entry[1]
         pos = end

@@ -163,6 +163,18 @@ class TestSimulatePathsim:
         assert main(["simulate", str(circuit_file), "--amps", str(idx_file)]) == 1
         assert capsys.readouterr().err == f"error: {idx_file}: line 2: 'zz' is not a hex index\n"
 
+    def test_non_utf8_index_names_file_and_line(self, circuit_file, tmp_path, capsys):
+        idx_file = tmp_path / "u.idx"
+        idx_file.write_bytes(b"0\n\xff\n")
+        assert main(["simulate", str(circuit_file), "--amps", str(idx_file)]) == 1
+        assert capsys.readouterr().err == f"error: {idx_file}: line 2: byte 0xff is not UTF-8\n"
+
+    def test_non_utf8_circuit_names_file_and_line(self, tmp_path, capsys):
+        circ = tmp_path / "u.txt"
+        circ.write_bytes(b"4\n0 h 0\n1 h 1 # \xff\n")
+        assert main(["simulate", str(circ)]) == 1
+        assert capsys.readouterr().err == f"error: {circ}: line 3: byte 0xff is not UTF-8\n"
+
     def test_index_file_of_comments_only_rejected(self, circuit_file, tmp_path, capsys):
         idx_file = tmp_path / "empty.idx"
         idx_file.write_text("# nothing here\n\n")
@@ -313,6 +325,12 @@ class TestSample:
         assert main(["sample", "--amps", str(amp_file), "--count", "5"]) == 1
         want = f"error: {amp_file}: line 2: '{line}' is not 'index_hex re im'\n"
         assert capsys.readouterr().err == want
+
+    def test_non_utf8_header_names_file_and_line(self, tmp_path, capsys):
+        amp_file = tmp_path / "u.amp"
+        amp_file.write_bytes(b"# n_qubits 1\n# tag \xff\n0 1.0 0.0\n")
+        assert main(["sample", "--amps", str(amp_file), "--count", "5"]) == 1
+        assert capsys.readouterr().err == f"error: {amp_file}: line 2: byte 0xff is not UTF-8\n"
 
     def test_file_without_probability_mass_rejected(self, tmp_path, capsys):
         amp_file = tmp_path / "zero.amp"

@@ -4,6 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
+from gridsim import pathsum, statevec
 from gridsim.benchgen import GenSpec, generate
 from gridsim.circuit import circuit_hash
 from gridsim.orchestrator import (
@@ -160,6 +161,39 @@ class TestRunCampaign:
         assert set(err.value.failed) == {int(p) for p in plan.retained}
         assert set(err.value.exit_codes.values()) == {1}
         assert "(exit code 1)" in str(err.value)
+
+    def test_dying_job_stops_its_worker_before_the_next_tile(self, small, tmp_path, monkeypatch):
+        # tiles of 4 jobs; the second tile's second job dies mid-commit, so
+        # the worker computed two tiles and committed the five jobs before it
+        circuit, plan, requests = small
+        row = 8 * ((1 << plan.cut.n_a) + (1 << plan.cut.n_b)) + 16 * requests.size
+        monkeypatch.setattr(statevec, "_SLICE_BYTES", 4 * row)
+        assert pathsum.prefix_tile(plan, requests.size) == 4
+        calls = tmp_path / "calls"
+
+        def counted(*args, **kwargs):
+            with open(calls, "a") as f:  # the worker is a forked child
+                f.write(f"{len(kwargs['prefixes'])}\n")
+            return pathsum.run_batched(*args, **kwargs)
+
+        monkeypatch.setattr("gridsim.orchestrator.run_batched", counted)
+        doomed = int(plan.retained[5])
+        shard_dir = str(tmp_path / "s")
+        with pytest.raises(CampaignError) as err:
+            run_campaign(circuit, plan, requests, shard_dir, retry_limit=0, fault_spec={doomed: 1})
+        assert calls.read_text().split() == ["4", "4"]
+        assert status(circuit, plan, requests, shard_dir).done == tuple(int(p) for p in plan.retained[:5])
+        n = len(plan.retained)
+        assert str(err.value) == (
+            f"{n - 5} shard jobs unfinished after 1 rounds: "
+            f"workers stopped on prefixes {doomed} (exit code 3); {n - 6} more not reached"
+        )
+
+    def test_jobs_of_a_tile_share_its_seconds(self, small, tmp_path):
+        circuit, plan, requests = small
+        result = run_campaign(circuit, plan, requests, str(tmp_path))
+        assert len(plan.retained) <= pathsum.prefix_tile(plan, requests.size)
+        assert len(set(result.per_job_seconds.values())) == 1
 
     def test_fault_run_sweeps_only_its_own_tmp_files(self, small, tmp_path):
         circuit, plan, requests = small

@@ -540,6 +540,55 @@ class TestThreadedTiles:
         TestPathSums().test_row_tiles_keep_the_working_set_small()
 
 
+def _per_prefix_cells(circuit_4x4_d16):
+    idx = np.unique(np.random.default_rng(1).integers(0, 1 << 16, size=256))
+    c09 = generate(GenSpec(3, 4, 16, "v2", seed=6))
+    return {
+        "x_b=0 gather": (circuit_4x4_d16, make_plan(circuit_4x4_d16, fidelity=0.5, x_b=0, seed=3), idx),
+        # c09's cell: one prefix of it alone lands through the joint matrix
+        "c09 joint-sized": (c09, make_plan(c09, fidelity=1.0, x_p=5, seed=0), np.arange(4096)),
+        "x_b=2 gather": (circuit_4x4_d16, make_plan(circuit_4x4_d16, fidelity=0.5, x_b=2, seed=3), idx),
+    }
+
+
+class TestPerPrefixRows:
+    @pytest.mark.parametrize("cell", ["x_b=0 gather", "c09 joint-sized", "x_b=2 gather"])
+    def test_each_row_equals_its_one_prefix_call(self, monkeypatch, circuit_4x4_d16, cell):
+        circ, plan, idx = _per_prefix_cells(circuit_4x4_d16)[cell]
+        prefixes = plan.retained[:12]
+        want = [_sha(run_batched(circ, plan, idx, prefixes=[p])) for p in prefixes]
+        row = 8 * ((1 << plan.cut.n_a) + (1 << plan.cut.n_b)) + 16 * idx.size
+        for rows in (2, 5):
+            monkeypatch.setattr(statevec, "_SLICE_BYTES", rows * row * plan.branch_space)
+            assert pathsum.prefix_tile(plan, idx.size) == rows
+            got = run_batched(circ, plan, idx, prefixes=prefixes, per_prefix=True)
+            assert all(np.array_equal(b.indices, idx) for b in got)
+            assert [_sha(b) for b in got] == want, f"{rows} prefixes per tile"
+
+    def test_a_row_over_the_budget_gets_a_tile_of_its_own(self):
+        # one complex128 output row of 2^17 requests is 2 MiB, twice the
+        # slice budget, so each prefix is a tile of its own: three prefixes
+        # hold one prefix's working set and two more output rows
+        circ = generate(GenSpec(4, 8, 12, "v2", seed=0))
+        idx = np.unique(np.random.default_rng(0).integers(0, 1 << 32, size=1 << 17))
+        plan = make_plan(circ, x_b=2, seed=0)
+        tile = 8 * ((1 << plan.cut.n_a) + (1 << plan.cut.n_b))
+        row = 16 * idx.size
+        assert row > statevec._SLICE_BYTES and pathsum.prefix_tile(plan, idx.size) == 1
+        pathsum._lower(circ, plan.cut)
+        peaks = {}
+        for n in (1, 3):
+            tracemalloc.start()
+            try:
+                run_batched(circ, plan, idx, prefixes=plan.retained[:n], per_prefix=True)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 3.75 * (tile + row), f"{peaks[1] / (tile + row):.2f} tiles and rows"
+        extra = peaks[3] - peaks[1] - 2 * row
+        assert extra <= 0.25 * tile, f"two more prefixes held {extra / tile:.2f} tiles beyond their rows"
+
+
 class TestEstimateFidelity:
     def _batch(self, amps):
         idx = np.arange(len(amps), dtype=np.int64)
