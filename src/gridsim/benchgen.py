@@ -24,7 +24,6 @@ from .circuit import (
     TWO_QUBIT_KINDS,
     all_cuts,
     choose_cut,
-    count_cross_gates,
     cross_gates,
 )
 from .pathsum import schmidt_decompose
@@ -234,13 +233,13 @@ def audit(circuit: Circuit) -> HardnessReport:
             if a in fills and occupancy.get((q, t + 1)) is a:
                 repeats += 1
 
-    final_h = cycles >= 2 and circuit._all_h_cycle(cycles - 1)
+    final_h = cycles >= 2 and all(occupancy.get((q, cycles - 1)) is GateKind.H for q in range(n))
 
     chosen = choose_cut(circuit)
     cross = cross_gates(circuit, chosen)
     space = math.prod(schmidt_decompose(g).rank for g in cross)
     per_cut = [
-        (c.orientation, c.position, count_cross_gates(circuit, c)) for c in all_cuts(circuit)
+        (c.orientation, c.position, len(cross_gates(circuit, c))) for c in all_cuts(circuit)
     ]
     return HardnessReport(
         n_qubits=n,

@@ -2,8 +2,11 @@
 
 Qubits live on a planar rows x cols grid and are numbered row-major, so
 qubit = row * cols + col.  Basis-state indices put qubit 0 in the most
-significant bit.  A circuit is a cycle-ordered list of gates; cuts split
-the grid along a straight line between two adjacent rows or columns.
+significant bit.  A circuit is a cycle-ordered list of gates, and
+`circuit_hash` is its one identity.  A two-qubit gate may join any two
+qubits: the grid shapes only the cuts, which split it along a straight
+line between two adjacent rows or columns.  `cross_gates` is the one rule
+for the gates a cut crosses; its length is the cut's cross-gate count.
 """
 from __future__ import annotations
 
@@ -136,14 +139,6 @@ class Circuit:
     def n_cycles(self) -> int:
         return self.gates[-1].cycle + 1 if self.gates else 0
 
-    @property
-    def nearest_neighbor(self) -> bool:
-        return all(
-            _grid_adjacent(g.qubits[0], g.qubits[1], self.cols)
-            for g in self.gates
-            if g.kind in TWO_QUBIT_KINDS
-        )
-
     def _validate(self):
         n = self.n_qubits
         busy: dict[int, int] = {}
@@ -159,17 +154,6 @@ class Circuit:
         if seen_cycles and seen_cycles != set(range(max(seen_cycles) + 1)):
             missing = sorted(set(range(max(seen_cycles) + 1)) - seen_cycles)
             raise CircuitError(f"cycle indices not contiguous, missing {missing}")
-
-    def _all_h_cycle(self, cycle: int) -> bool:
-        hs = {g.qubits[0] for g in self.gates if g.cycle == cycle and g.kind is GateKind.H}
-        others = any(g.cycle == cycle and g.kind is not GateKind.H for g in self.gates)
-        return not others and hs == set(range(self.n_qubits))
-
-
-def _grid_adjacent(a: int, b: int, cols: int) -> bool:
-    ra, ca = divmod(a, cols)
-    rb, cb = divmod(b, cols)
-    return abs(ra - rb) + abs(ca - cb) == 1
 
 
 def parse_circuit(text: str, rows: int | None = None, cols: int | None = None) -> Circuit:
@@ -306,11 +290,6 @@ def cross_gates(circuit: Circuit, cut: Cut) -> list[Gate]:
     return [g for g in circuit.gates if len(g.qubits) == 2 and gate_block(g, cut) == "cross"]
 
 
-def count_cross_gates(circuit: Circuit, cut: Cut) -> int:
-    """Number of two-qubit gates whose endpoints straddle the cut."""
-    return len(cross_gates(circuit, cut))
-
-
 def choose_cut(circuit: Circuit) -> Cut:
     """Pick the cut minimizing (larger block size, cross-gate count, position).
 
@@ -322,5 +301,5 @@ def choose_cut(circuit: Circuit) -> Cut:
         raise CircuitError("grid has no straight-line cut")
     return min(
         cuts,
-        key=lambda c: (max(c.n_a, c.n_b), count_cross_gates(circuit, c), c.position, c.orientation),
+        key=lambda c: (max(c.n_a, c.n_b), len(cross_gates(circuit, c)), c.position, c.orientation),
     )

@@ -11,14 +11,17 @@ import numpy as np
 
 from .benchgen import GenSpec, audit, generate, instance_filename
 from .circuit import Circuit, CircuitError, GateKind, circuit_hash, parse_circuit, serialize_circuit
-from .costmodel import CostParams, forecast, plan_digits
-from .orchestrator import SHARD_DIGITS, CampaignError, merge, run_campaign, status
+from .costmodel import CostParams, forecast, plan_law_args
+from .orchestrator import CampaignError, merge, run_campaign, status
 from .pathsum import make_plan, run_approx
 from .sampler import PT_MIN_COUNT, SampleRequest, committed_indices, porter_thomas_fit, sample
-from .statevec import basis_indices, fetch_amplitudes, read_amplitudes, run_full, utf8_text, write_amplitudes
+from .statevec import basis_indices, fetch_amplitudes, read_amplitudes, read_json_fields
+from .statevec import run_full, utf8_text, write_amplitudes
 from . import validate as validation
 
 MAX_DEFAULT_AMPS_QUBITS = 20
+# campaign outputs are text; 17 significant digits round-trip float64
+CAMPAIGN_OUTPUT_DIGITS = 17
 
 
 def _read_circuit(path: str, rows: int | None, cols: int | None) -> Circuit:
@@ -47,18 +50,6 @@ def _read_indices(path: str) -> np.ndarray:
     if not out:
         raise ValueError(f"no indices found in {path}")
     return np.array(out, dtype=np.int64)
-
-
-def _read_fields(path: str, *names: str) -> list[float]:
-    """The named fields of a JSON object file, as floats."""
-    with open(path) as f:
-        raw = json.load(f)
-    for name in names:
-        if not isinstance(raw, dict) or name not in raw:
-            raise ValueError(f"{path} lacks {name}")
-        if not isinstance(raw[name], (int, float)):
-            raise ValueError(f"{path}: {name} is not a number")
-    return [float(raw[name]) for name in names]
 
 
 def _default_indices(circuit: Circuit, amps_file: str | None) -> np.ndarray:
@@ -174,17 +165,10 @@ def _cmd_plan(args) -> int:
         "jobs": len(plan.retained),
     }
     if args.params:
-        params = CostParams(*_read_fields(args.params, "C1", "C2", "C3"))
-        x_p, x_b = plan_digits(plan)
+        params = CostParams(*read_json_fields(args.params, C1=float, C2=float, C3=float))
         fc = forecast(
             params,
-            f=plan.fidelity,
-            q1=plan.cut.n_a,
-            q2=plan.cut.n_b,
-            d_p=plan.d_p,
-            d_b=plan.d_b,
-            x_p=x_p,
-            x_b=x_b,
+            **plan_law_args(plan),
             n_a=args.n_a,
             p=args.procs,
             n_nodes=args.nodes,
@@ -208,7 +192,10 @@ def _cmd_plan(args) -> int:
 def _cmd_sample(args) -> int:
     batch, header = read_amplitudes(args.amps)
     size = len(batch.indices)
-    n = int(header.get("n_qubits", max(size, 1).bit_length() - 1))
+    n = header.get("n_qubits", str(max(size, 1).bit_length() - 1))
+    if not (n.isascii() and n.isdigit()):
+        raise ValueError(f"{args.amps}: n_qubits header {n!r} is not a qubit count")
+    n = int(n)
     distinct = np.unique(basis_indices(batch.indices, n)).size
     if not size == distinct == 1 << n:
         raise ValueError(
@@ -302,7 +289,7 @@ def _cmd_validate_verifier(args) -> int:
         print(f"challenge written to {args.challenge}; keep {private_path} secret")
         return 0
     ch = validation.read_challenge(args.challenge)
-    (f1,) = _read_fields(private_path, "f1")
+    (f1,) = read_json_fields(private_path, f1=float)
     ch = validation.Challenge(ch.circuit_hash, ch.k, ch.index_seed, ch.delta, f1)
     response, _ = read_amplitudes(args.response)
     result = validation.verifier_round(circuit, ch, response, path_seed=args.path_seed)
@@ -393,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None, help="write a JSON run report here")
     p.add_argument("--forecast-seconds", type=float, default=None)
     p.add_argument("-o", "--out", default=None)
-    p.add_argument("--digits", type=int, default=SHARD_DIGITS)
+    p.add_argument("--digits", type=int, default=CAMPAIGN_OUTPUT_DIGITS)
     p.set_defaults(func=_cmd_campaign)
 
     p = sub.add_parser("validate", help="verifier/claimant protocol over files")

@@ -19,9 +19,11 @@ Memory per process is the working pair of block vectors (times a small
 copy multiplier for the per-branch copies) plus the amplitude collection
 buffer.
 
-The law is written in 2^x_p prefixes and 2^x_b branches. A plan whose
-cross gates have radix other than 2 (iSWAP has 4) enters it with x_p and
-x_b the log2 of its prefix and branch spaces.
+The law is written in 2^x_p prefixes and 2^x_b branches. A plan enters it
+through one mapping, `plan_law_args`, in `gridsim plan` and in
+`BenchResult.from_plan` alike: a plan whose cross gates have radix other
+than 2 (iSWAP has 4) enters with x_p and x_b the log2 of its prefix and
+branch spaces.
 """
 from __future__ import annotations
 
@@ -112,10 +114,12 @@ def work_terms(f, q1, q2, d_p, d_b, x_p, x_b, n_a) -> tuple[float, float, float]
     return jobs * w * d_p, jobs * w * 2.0**x_b * d_b, 2.0 ** (x_p + x_b) * n_a
 
 
-def plan_digits(plan) -> tuple[float, float]:
-    """(x_p, x_b) of a plan as the law reads them: log2 of its prefix and
-    branch spaces, which equal its digit counts only when every radix is 2."""
-    return math.log2(plan.prefix_space), math.log2(plan.branch_space)
+def plan_law_args(plan) -> dict:
+    """A plan's inputs to the law under the law's own names; x_p and x_b are
+    the log2 of its prefix and branch spaces, which equal its digit counts
+    only when every radix is 2."""
+    return dict(f=plan.fidelity, q1=plan.cut.n_a, q2=plan.cut.n_b, d_p=plan.d_p, d_b=plan.d_b,
+                x_p=math.log2(plan.prefix_space), x_b=math.log2(plan.branch_space))
 
 
 @dataclass(frozen=True)
@@ -146,10 +150,7 @@ class BenchResult:
 
     @classmethod
     def from_plan(cls, plan, n_a: int, seconds: float) -> "BenchResult":
-        x_p, x_b = plan_digits(plan)
-        return cls(
-            plan.cut.n_a, plan.cut.n_b, plan.d_p, plan.d_b, x_p, x_b, plan.fidelity, n_a, seconds
-        )
+        return cls(**plan_law_args(plan), n_a=n_a, seconds=seconds)
 
     def design_row(self) -> tuple[float, float, float]:
         return work_terms(

@@ -21,9 +21,11 @@ prefix order, and names every job whose shard fails.
 
 The round number is the campaign's only clock: round r runs every job
 still pending, so it is each such job's r-th attempt.  A shard's header
-binds it to its job by plan hash and prefix, and its `attempt` entry is
-the round that wrote it; a `fault_spec` entry counts the rounds, from
-the first, in which that job dies.
+binds it to its job by plan hash and prefix, its `seconds` entry (a
+finite number >= 0, or the shard does not check out) is the job's share
+of its tile's time, and its `attempt` entry is the round that wrote it;
+a `fault_spec` entry counts the rounds, from the first, in which that
+job dies.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import resource
@@ -48,9 +51,6 @@ from .statevec import (
     write_amplitudes,
 )
 
-# Default text digits for merged outputs on the command line: 17
-# significant digits round-trip float64 exactly.  Shards are exact anyway.
-SHARD_DIGITS = 17
 RETRY_LIMIT = 3
 
 
@@ -113,17 +113,29 @@ def shard(circuit: Circuit, plan: SimPlan, requests) -> list[ShardJob]:
     return [ShardJob(int(p), fp) for p in plan.retained]
 
 
-def _shard_header_ok(header: dict, job: ShardJob) -> bool:
-    return all(header.get(key) == value for key, value in job.header.items())
+def _job_seconds(header: dict, job: ShardJob) -> float:
+    """The seconds a shard header records, once its entries bind it to
+    `job` and its seconds are a finite number >= 0; ValueError says which
+    check it fails."""
+    if any(header.get(key) != value for key, value in job.header.items()):
+        raise ValueError("header does not match the job")
+    raw = header.get("seconds", "")
+    try:
+        seconds = float(raw)
+    except ValueError:
+        seconds = math.nan
+    if not 0 <= seconds < math.inf:
+        raise ValueError(f"seconds header {raw!r} is not a finite number >= 0")
+    return seconds
 
 
 def _shard_done(shard_dir: str, job: ShardJob) -> bool:
     # header and payload digest only; the amplitudes are not decoded
     try:
-        header = read_amplitude_header(os.path.join(shard_dir, job.filename))
+        _job_seconds(read_amplitude_header(os.path.join(shard_dir, job.filename)), job)
     except (OSError, ValueError):
         return False
-    return _shard_header_ok(header, job)
+    return True
 
 
 def _scan(jobs, shard_dir: str):
@@ -286,8 +298,7 @@ def run_campaign(
                     os.remove(_tmp_path(os.path.join(shard_dir, job.filename), proc.pid))
         child_exit_codes.append([proc.exitcode for proc, _ in procs])
 
-    batch, headers = _merge_verified(circuit, plan, requests, shard_dir)
-    per_job = {p: float(h.get("seconds", "nan")) for p, h in headers.items()}
+    batch, per_job = _merge_verified(circuit, plan, requests, shard_dir)
     result = CampaignResult(
         batch=batch,
         plan_hash=jobs[0].plan_hash,
@@ -334,26 +345,24 @@ def _merge_verified(circuit, plan, requests, shard_dir):
     strays = sorted(set(os.listdir(shard_dir)) - {job.filename for job in jobs})
     duplicates = [n for n in strays if n.startswith(jobs[0].plan_hash + ".") and n.endswith(".amp")]
     total = AmplitudeBatch.zeros(req)
-    headers: dict[int, dict] = {}
+    per_job: dict[int, float] = {}
     faults: dict[int, str] = {}
     for job in jobs:  # plan.retained is sorted: ascending prefix order
         try:
             batch, header = read_amplitudes(os.path.join(shard_dir, job.filename))
+            if "sha256" not in header:
+                raise ValueError("not an exact shard")
+            seconds = _job_seconds(header, job)
+            if not np.array_equal(batch.indices, req):
+                raise ValueError("answers different request indices")
         except (OSError, ValueError) as exc:
             faults[job.prefix] = "missing" if isinstance(exc, FileNotFoundError) else str(exc)
             continue
-        if "sha256" not in header:
-            faults[job.prefix] = "not an exact shard"
-        elif not _shard_header_ok(header, job):
-            faults[job.prefix] = "header does not match the job"
-        elif not np.array_equal(batch.indices, req):
-            faults[job.prefix] = "answers different request indices"
-        else:
-            total.amps += batch.amps
-            headers[job.prefix] = header
+        total.amps += batch.amps
+        per_job[job.prefix] = seconds
     problems = [f"prefix {p}: {why}" for p, why in faults.items()]
     problems += [f"duplicate shard file {name}" for name in duplicates]
     if problems:
         shown = "; ".join(problems[:16])
         raise MergeError(f"{len(problems)} shard faults: {shown}", failed=list(faults))
-    return total, headers
+    return total, per_job

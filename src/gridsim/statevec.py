@@ -22,13 +22,15 @@ digits) are the interchange format of the command line.  The exact form
 stores the raw little-endian int64 indices followed by the complex128
 amplitudes as one base64 line, with "count" and a "sha256" of that line
 in the header, so a reader can check a file without decoding it and a
-round trip is bit-identical.
+round trip is bit-identical.  The input helpers the front ends share live
+here too, `read_json_fields` (the one JSON reader) among them.
 """
 from __future__ import annotations
 
 import base64
 import binascii
 import hashlib
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -381,6 +383,27 @@ def utf8_text(data: bytes, path, first_line: int = 1) -> str:
         raise ValueError(f"{path}: line {line}: byte 0x{data[exc.start]:02x} is not UTF-8") from None
 
 
+_JSON_KINDS = {str: (str, "a string"), int: (int, "an integer"), float: ((int, float), "a number")}
+
+
+def read_json_fields(path, **kinds: type) -> list:
+    """The named fields of a JSON object file, in order, each of its kind:
+    str, int, or float for any number; a bool is neither an int nor a
+    number, and a float is not an int.  ValueError names the file."""
+    try:
+        with open(path, "rb") as f:
+            raw = json.loads(utf8_text(f.read(), path))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from None
+    for name, kind in kinds.items():
+        if not isinstance(raw, dict) or name not in raw:
+            raise ValueError(f"{path} lacks {name}")
+        accepted, noun = _JSON_KINDS[kind]
+        if isinstance(raw[name], bool) or not isinstance(raw[name], accepted):
+            raise ValueError(f"{path}: {name} is not {noun}")
+    return [kind(raw[name]) for name, kind in kinds.items()]
+
+
 def _read_file(path) -> tuple[dict, memoryview, int]:
     """The leading '# key value' header entries of an amplitude file, a
     view of the rest with outer whitespace trimmed, and the number of the
@@ -409,10 +432,12 @@ def _check_payload(header: dict, payload) -> int:
     """The payload's amplitude count, once it matches the sha256 and count headers."""
     if hashlib.sha256(payload).hexdigest() != header.get("sha256"):
         raise ValueError("amplitude payload does not match its sha256 header")
-    count = int(header.get("count", ""))
-    if len(payload) != 4 * _EXACT_BYTES // 3 * count:  # 24 bytes: 32 base64 characters
+    count = header.get("count", "")
+    if not (count.isascii() and count.isdigit()):
+        raise ValueError(f"count header {count!r} is missing or not an integer")
+    if len(payload) != 4 * _EXACT_BYTES // 3 * int(count):  # 24 bytes: 32 base64 characters
         raise ValueError(f"exact payload holds {len(payload)} characters, not {count} amplitudes")
-    return count
+    return int(count)
 
 
 def _decode_exact(header: dict, payload) -> AmplitudeBatch:

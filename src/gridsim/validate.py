@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Cut, all_cuts, circuit_hash, count_cross_gates
+from .circuit import Circuit, Cut, all_cuts, circuit_hash, cross_gates
 from .pathsum import estimate_fidelity, make_plan, run_approx, seeded_subset
-from .statevec import AmplitudeBatch, fetch_amplitudes, run_full
+from .statevec import AmplitudeBatch, fetch_amplitudes, read_json_fields, run_full
 
 DEFAULT_F1_BAND = (0.05, 0.25)
 DEFAULT_DELTA = 0.03
@@ -104,17 +104,13 @@ def write_challenge(path, ch: Challenge) -> None:
 
 
 def read_challenge(path) -> Challenge:
-    with open(path) as f:
-        data = json.load(f)
+    """The public half of a challenge file; ValidationError names the file
+    if it is not a JSON object holding the four fields, each of its kind."""
     try:
-        return Challenge(
-            circuit_hash=str(data["circuit_hash"]),
-            k=int(data["k"]),
-            index_seed=int(data["index_seed"]),
-            delta=float(data["delta"]),
-        )
-    except KeyError as exc:
-        raise ValidationError(f"challenge file lacks field {exc}")
+        fields = read_json_fields(path, circuit_hash=str, k=int, index_seed=int, delta=float)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
+    return Challenge(*fields)
 
 
 def verifier_cut(circuit: Circuit) -> Cut:
@@ -128,7 +124,7 @@ def verifier_cut(circuit: Circuit) -> Cut:
     return min(
         all_cuts(circuit),
         key=lambda c: (
-            count_cross_gates(circuit, c),
+            len(cross_gates(circuit, c)),
             max(c.n_a, c.n_b),
             c.orientation,
             c.position,

@@ -152,6 +152,7 @@ def c23_sweep():
     return out
 
 
+@pytest.mark.slow
 def test_c02_estimated_fidelity_tracks_retained_fraction(c23_sweep):
     """f_e equals the kept path fraction within 2% on average, 3 sigma per run."""
     for f in C23_FRACTIONS:
@@ -163,6 +164,7 @@ def test_c02_estimated_fidelity_tracks_retained_fraction(c23_sweep):
     assert c23_sweep["elapsed"] < 900
 
 
+@pytest.mark.slow
 def test_c03_state_norm_tracks_retained_fraction(c23_sweep):
     """Total squared norm of the truncated state equals the kept fraction within 5%."""
     for f in C23_FRACTIONS:
@@ -175,6 +177,7 @@ def test_c03_state_norm_tracks_retained_fraction(c23_sweep):
 
 # -- 4. work is linear in the retained fraction ------------------------------
 
+@pytest.mark.slow
 def test_c04_work_scales_linearly_with_fidelity():
     """Retention counts follow the rounding rule; campaign CPU scales with f."""
     for space_bits in (4, 8, 12, 16):
@@ -376,6 +379,7 @@ def test_c10_verifier_separates_honest_and_cheating_claimants():
 
 # -- 11. amplitude collection is cheap ---------------------------------------
 
+@pytest.mark.slow
 def test_c11_collecting_many_amplitudes_is_nearly_free():
     """At 20 qubits, requesting 100000 amplitudes costs <= 1.25x of one."""
     circuit = generate(GenSpec(4, 5, 24, "v2", seed=9))
@@ -413,6 +417,7 @@ C12_HELD = [
 ]
 
 
+@pytest.mark.slow
 def test_c12_cost_model_calibrates_and_forecasts():
     """Synthetic runs recover constants within 1%; real forecasts land within 20%."""
     truth = CostParams(2e-9, 1.1, 7e-9)

@@ -83,6 +83,16 @@ class TestFillRules:
         assert v2.has_final_h
         assert not v1.has_final_h
 
+    @pytest.mark.parametrize("last, want", [
+        ("1 h 0\n1 h 1\n", True),
+        ("1 h 0\n1 t 1\n", False),
+        ("1 h 0\n", False),
+        ("1 cz 0 1\n", False),
+        ("", False),
+    ], ids=["all-h", "one-t", "one-idle", "cz", "one-cycle"])
+    def test_final_h_needs_an_h_on_every_qubit_in_the_last_of_two_or_more_cycles(self, last, want):
+        assert audit(parse_circuit("2\n0 h 0\n0 h 1\n" + last, rows=1, cols=2)).has_final_h is want
+
     def test_v2_never_places_t_right_after_cz(self):
         for seed in range(10):
             circ = generate(GenSpec(4, 4, 20, "v2", seed=seed))

@@ -13,9 +13,12 @@ import pytest
 import gridsim
 from gridsim import cli
 from gridsim.cli import main
-from gridsim.costmodel import CostParams, total_seconds
-from gridsim.sampler import SampleRequest, committed_indices, sample_basic
+from gridsim.circuit import parse_circuit
+from gridsim.costmodel import CostParams, forecast, plan_law_args, total_seconds
+from gridsim.pathsum import make_plan
+from gridsim.sampler import SampleRequest, committed_indices, sample, sample_basic
 from gridsim.statevec import read_amplitudes
+from gridsim.validate import issue_challenge
 
 
 @pytest.fixture()
@@ -235,6 +238,21 @@ class TestPlan:
         assert main(["plan", str(circuit_file), "--params", str(params)]) == 1
         assert capsys.readouterr().err == f"error: {params}: C1 is not a number\n"
 
+    def test_procs_and_nodes_match_the_library_forecast(self, circuit_file, tmp_path, capsys):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"C1": 2e-9, "C2": 1.1, "C3": 7e-9}))
+        run_ok(["plan", str(circuit_file), "--fidelity", "0.5", "--params", str(params),
+                "--n-a", "64", "--procs", "4", "--nodes", "2"])
+        fc = json.loads(capsys.readouterr().out)["forecast"]
+        cost = CostParams(2e-9, 1.1, 7e-9)
+        plan = make_plan(parse_circuit(circuit_file.read_text()), fidelity=0.5)
+        want = forecast(cost, **plan_law_args(plan), n_a=64, p=4, n_nodes=2)
+        assert fc["t_tot_hours"] == want.T_tot
+        assert fc["t_bill_hours"] == want.T_bill == cost.omega_at(4) * want.T_tot / 4
+        assert fc["t_clock_hours"] == want.T_clock == want.T_bill / 2
+        assert fc["m_node_bytes"] == want.M_node == 4 * want.M_proc == 4 * fc["m_proc_bytes"]
+        assert fc["m_cluster_bytes"] == want.M_cluster == 2 * want.M_node
+
     def test_forecast_counts_iswap_paths(self, tmp_path, capsys):
         circuit = tmp_path / "iswap.txt"
         run_ok(["generate", "--rows", "4", "--cols", "4", "--depth", "20",
@@ -282,6 +300,33 @@ class TestSample:
         want = sample_basic(req, idx, probs[idx])
         assert want.accepted_count > 0
         assert out.read_text().splitlines() == list(want.bitstrings)
+
+    def test_epsilon_and_mstar_reach_the_sampler(self, circuit_file, tmp_path, capsys):
+        amp_file = tmp_path / "state.amp"
+        run_ok(["simulate", str(circuit_file), "-o", str(amp_file), "--digits", "12"])
+        out = tmp_path / "bits.txt"
+        run_ok(["sample", "--amps", str(amp_file), "--count", "80", "--mode", "basic",
+                "--epsilon", "0.2", "--mstar", "3", "--seed", "4", "-o", str(out)])
+        summary = json.loads(capsys.readouterr().err)
+        batch, _ = read_amplitudes(amp_file)
+        probs = np.zeros(1 << 9)
+        probs[batch.indices] = np.abs(batch.amps) ** 2
+        probs /= probs.sum()
+        req = SampleRequest(9, 80, mode="basic", epsilon=0.2, m_star=3, seed=4)
+        idx = committed_indices(req)
+        want = sample(req, idx, probs[idx])
+        assert out.read_text().splitlines() == list(want.bitstrings)
+        assert summary["accepted_count"] == want.accepted_count
+        assert summary["tail_mass"] == want.measured_tail_mass
+        default = SampleRequest(9, 80, mode="basic", seed=4)
+        assert committed_indices(default).size != idx.size  # epsilon changed the request
+
+    def test_n_qubits_header_that_is_not_a_count_names_file(self, tmp_path, capsys):
+        amp_file = tmp_path / "a.amp"
+        amp_file.write_text("# n_qubits x\n0 1.0 0.0\n1 0.0 0.0\n")
+        assert main(["sample", "--amps", str(amp_file), "--count", "5"]) == 1
+        want = f"error: {amp_file}: n_qubits header 'x' is not a qubit count\n"
+        assert capsys.readouterr().err == want
 
     def test_truncated_amplitudes_sample_their_own_distribution(self, tmp_path, capsys):
         circ = tmp_path / "circ.txt"
@@ -396,6 +441,15 @@ class TestCampaign:
                 "--dir", str(shard_dir), *plan_args])
         assert "complete=True" in capsys.readouterr().out
 
+    def test_report_holds_the_forecast_and_actual_seconds(self, circuit_file, tmp_path):
+        report = tmp_path / "r.json"
+        run_ok(["campaign", "run", "--circuit", str(circuit_file), "--dir", str(tmp_path / "s"),
+                "--fidelity", "0.5", "--xb", "0", "--forecast-seconds", "12.5",
+                "--report", str(report)])
+        got = json.loads(report.read_text())
+        assert got["forecast_seconds"] == 12.5
+        assert got["actual_seconds"] == got["job_seconds_total"]
+
     def test_out_of_range_index_fails_before_any_worker(self, circuit_file, tmp_path, capsys):
         idx_file = tmp_path / "idx.txt"
         idx_file.write_text("1ff\n200\n")
@@ -433,6 +487,22 @@ class TestValidateProtocol:
                      "--response", str(fake), "--path-seed", "93"]) == 1
         assert capsys.readouterr().out.startswith("FAIL")
 
+    def test_private_path_delta_and_f1_band_match_the_library(self, tmp_path, capsys):
+        circ = tmp_path / "circ.txt"
+        run_ok(["generate", "--rows", "2", "--cols", "3", "--depth", "6", "-o", str(circ)])
+        challenge, private = tmp_path / "ch.json", tmp_path / "secret" / "p.json"
+        private.parent.mkdir()
+        run_ok(["validate", "verifier", str(circ), "--challenge", str(challenge), "--k", "16",
+                "--private", str(private), "--delta", "0.02", "--f1-band", "0.3", "0.4",
+                "--seed", "7"])
+        assert not (tmp_path / "ch.json.private").exists()
+        f1 = json.loads(private.read_text())["f1"]
+        assert json.loads(challenge.read_text())["delta"] == 0.02
+        assert 0.3 <= f1 < 0.4
+        want = issue_challenge(parse_circuit(circ.read_text()), 16, delta=0.02, seed=7,
+                               f1_band=(0.3, 0.4))
+        assert (f1, json.loads(challenge.read_text())) == (want.f1, want.public_dict())
+
     def test_private_file_names_the_field_it_lacks(self, tmp_path, capsys):
         circ = tmp_path / "circ.txt"
         run_ok(["generate", "--rows", "2", "--cols", "3", "--depth", "6", "-o", str(circ)])
@@ -447,6 +517,63 @@ class TestValidateProtocol:
         assert main(["validate", "verifier", str(circ), "--challenge", str(challenge),
                      "--response", str(response)]) == 1
         assert capsys.readouterr().err == f"error: {private} lacks f1\n"
+
+
+def _malformed_json(base: dict, number: str, integer: str | None = None) -> list:
+    """(form, file bytes, the error after the file name) for each malformed
+    form of a JSON object file whose valid content is `base`."""
+    dump = lambda d: json.dumps(d).encode()
+    forms = [
+        ("not-an-object", dump(list(base.values())), f" lacks {next(iter(base))}"),
+        ("missing-field", dump({k: v for k, v in base.items() if k != number}), f" lacks {number}"),
+        ("null-field", dump({**base, number: None}), f": {number} is not a number"),
+        ("string-for-number", dump({**base, number: str(base[number])}), f": {number} is not a number"),
+        ("invalid-json", dump(base)[:-1], ": invalid JSON: Expecting ',' delimiter"),
+        ("not-utf8", b'{"note": "\xff", ' + dump(base)[1:], ": line 1: byte 0xff is not UTF-8"),
+    ]
+    if integer is None:
+        return forms + [("true-for-number", dump({**base, number: True}), f": {number} is not a number")]
+    return forms + [
+        ("float-for-integer", dump({**base, integer: 4.7}), f": {integer} is not an integer"),
+        ("true-for-integer", dump({**base, integer: True}), f": {integer} is not an integer"),
+    ]
+
+
+_CHALLENGE = {"circuit_hash": "0" * 16, "k": 16, "index_seed": 0, "delta": 0.03}
+MALFORMED_JSON = [
+    *[("params", *form) for form in _malformed_json({"C1": 2e-9, "C2": 1.1, "C3": 7e-9}, "C2")],
+    *[("private", *form) for form in _malformed_json({"f1": 0.2}, "f1")],
+    *[("challenge", *form) for form in _malformed_json(_CHALLENGE, "delta", "k")],
+]
+
+
+@pytest.mark.parametrize("which, form, content, error", MALFORMED_JSON,
+                         ids=[f"{w}-{f}" for w, f, _, _ in MALFORMED_JSON])
+def test_malformed_json_input_is_one_error_line_naming_the_file(which, form, content, error,
+                                                                tmp_path, capsys):
+    circ = tmp_path / "circ.txt"
+    run_ok(["generate", "--rows", "2", "--cols", "3", "--depth", "6", "-o", str(circ)])
+    bad = tmp_path / f"{which}.json"
+    if which == "params":
+        argv = ["plan", str(circ), "--params", str(bad)]
+    elif which == "challenge":
+        argv = ["validate", "claimant", str(circ), "--challenge", str(bad),
+                "-o", str(tmp_path / "r.amp")]
+    else:
+        challenge, response = tmp_path / "ch.json", tmp_path / "r.amp"
+        run_ok(["validate", "verifier", str(circ), "--challenge", str(challenge), "--k", "16",
+                "--private", str(bad)])
+        run_ok(["validate", "claimant", str(circ), "--challenge", str(challenge),
+                "-o", str(response)])
+        argv = ["validate", "verifier", str(circ), "--challenge", str(challenge),
+                "--private", str(bad), "--response", str(response)]
+    bad.write_bytes(content)
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}{error}")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
 def _gridsim_error_classes():

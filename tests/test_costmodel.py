@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from gridsim.costmodel import (
     calibrate,
     forecast,
     load_rate_card,
+    plan_law_args,
     total_seconds,
 )
 from gridsim.pathsum import make_plan
@@ -84,6 +86,17 @@ class TestFromPlan:
         assert (plan.x_p, plan.x_b, plan.prefix_space) == (8, 2, 65536)
         row = BenchResult.from_plan(plan, 16, 1.0)
         assert (row.x_p, row.x_b) == (16, 4)
+
+    def test_a_plan_enters_under_the_law_parameter_names(self):
+        circuit = generate(GenSpec(4, 4, 20, "v2", GateKind.ISWAP, seed=0))
+        plan = make_plan(circuit, fidelity=0.25, seed=0)
+        args = plan_law_args(plan)
+        law = list(inspect.signature(total_seconds).parameters)
+        assert list(args) == law[1:-1]  # all but params and n_a
+        assert args == dict(f=0.25, q1=plan.cut.n_a, q2=plan.cut.n_b, d_p=plan.d_p,
+                            d_b=plan.d_b, x_p=16.0, x_b=4.0)
+        row = BenchResult.from_plan(plan, 16, 1.0)
+        assert row == BenchResult(**args, n_a=16, seconds=1.0)
 
 
 class TestTotalSeconds:

@@ -449,6 +449,30 @@ class TestExactShards:
         with pytest.raises(MergeError):
             merge(circuit, plan, requests, shard_dir)
 
+    @pytest.mark.parametrize("value", ["zz", "nan", "inf", "-1.0"])
+    def test_bad_seconds_header_is_pending_named_and_recomputed(self, small, tmp_path, value):
+        # the sha256 covers the payload only, so a header edit leaves it intact
+        circuit, plan, requests = small
+        clean = run_campaign(circuit, plan, requests, str(tmp_path / "clean"))
+        shard_dir = str(tmp_path / "edited")
+        run_campaign(circuit, plan, requests, shard_dir)
+        victim = shard(circuit, plan, requests)[1]
+        path = os.path.join(shard_dir, victim.filename)
+        lines = open(path).read().splitlines(keepends=True)
+        at = next(i for i, line in enumerate(lines) if line.startswith("# seconds "))
+        lines[at] = f"# seconds {value}\n"
+        with open(path, "w") as f:
+            f.writelines(lines)
+        assert status(circuit, plan, requests, shard_dir).pending == (victim.prefix,)
+        want = f"prefix {victim.prefix}: seconds header '{value}' is not a finite number >= 0$"
+        with pytest.raises(MergeError, match=want) as err:
+            merge(circuit, plan, requests, shard_dir)
+        assert err.value.failed == (victim.prefix,)
+        again = run_campaign(circuit, plan, requests, shard_dir)
+        assert again.rounds == 1
+        assert again.batch.amps.tobytes() == clean.batch.amps.tobytes()
+        assert all(0 <= s < float("inf") for s in again.per_job_seconds.values())
+
     def test_count_header_disagreeing_with_payload_is_pending_and_recomputed(self, small, tmp_path):
         circuit, plan, requests = small
         clean = run_campaign(circuit, plan, requests, str(tmp_path / "clean"))

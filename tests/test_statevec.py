@@ -223,6 +223,7 @@ class TestRunFull:
         circ = generate(GenSpec(2, 3, 20, "v2", seed=0))
         assert_states_close(run_full(circ).amps, naive_state(circ), 1e-5)
 
+    @pytest.mark.slow
     def test_matches_naive_at_25_qubits(self):
         circ = generate(GenSpec(5, 5, 10, "v2", seed=0))
         state = run_full(circ)
@@ -440,6 +441,18 @@ class TestAmplitudeIO:
         digest = hashlib.sha256(payload.encode()).hexdigest()
         path.write_text(f"# count 2\n# sha256 {digest}\n{payload}\n")
         with pytest.raises(ValueError, match="^exact payload holds 45 bytes, not 2 amplitudes$"):
+            read_amplitudes(path)
+
+    @pytest.mark.parametrize("count", [None, "two", "-2"], ids=["missing", "word", "negative"])
+    def test_exact_count_header_that_is_not_a_count_rejected(self, tmp_path, count):
+        path = tmp_path / "exact.amp"
+        write_amplitudes(path, statevec.AmplitudeBatch([0, 1], [1.0, 0.5j]), digits=None)
+        lines = [line for line in path.read_text().splitlines() if not line.startswith("# count")]
+        if count is not None:
+            lines.insert(0, f"# count {count}")
+        path.write_text("\n".join(lines) + "\n")
+        want = f"^count header {count or ''!r} is missing or not an integer$"
+        with pytest.raises(ValueError, match=want):
             read_amplitudes(path)
 
     def test_indented_first_data_line_parses(self, tmp_path):
