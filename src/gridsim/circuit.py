@@ -5,8 +5,10 @@ qubit = row * cols + col.  Basis-state indices put qubit 0 in the most
 significant bit.  A circuit is a cycle-ordered list of gates, and
 `circuit_hash` is its one identity.  A two-qubit gate may join any two
 qubits: the grid shapes only the cuts, which split it along a straight
-line between two adjacent rows or columns.  `cross_gates` is the one rule
-for the gates a cut crosses; its length is the cut's cross-gate count.
+line between two adjacent rows or columns.  A `Cut` builds the membership
+set of its block a once, `in_a`, and every gate classification reads it:
+`gate_block` sides a gate, and `cross_gates` is the one rule for the gates
+a cut crosses; its length is the cut's cross-gate count.
 """
 from __future__ import annotations
 
@@ -249,6 +251,11 @@ class Cut:
     position: int  # last row/column index inside block_a
     block_a: tuple[int, ...]
     block_b: tuple[int, ...]
+    # block_a as a set, built once: every gate classification reads it
+    in_a: frozenset = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "in_a", frozenset(self.block_a))
 
     @property
     def n_a(self) -> int:
@@ -260,12 +267,10 @@ class Cut:
 
 
 def _make_cut(rows: int, cols: int, orientation: str, position: int) -> Cut:
+    line = (lambda q: q // cols) if orientation == "h" else (lambda q: q % cols)
     qubits = range(rows * cols)
-    if orientation == "h":
-        block_a = tuple(q for q in qubits if q // cols <= position)
-    else:
-        block_a = tuple(q for q in qubits if q % cols <= position)
-    block_b = tuple(q for q in qubits if q not in set(block_a))
+    block_a = tuple(q for q in qubits if line(q) <= position)
+    block_b = tuple(q for q in qubits if line(q) > position)
     return Cut(orientation, position, block_a, block_b)
 
 
@@ -278,8 +283,8 @@ def all_cuts(circuit: Circuit) -> list[Cut]:
 
 def gate_block(gate: Gate, cut: Cut) -> str:
     """Classify a gate against a cut: "a", "b", or "cross"."""
-    a = set(cut.block_a)
-    inside = sum(1 for q in gate.qubits if q in a)
+    a = cut.in_a
+    inside = sum(q in a for q in gate.qubits)
     if inside == len(gate.qubits):
         return "a"
     return "b" if inside == 0 else "cross"
@@ -287,7 +292,10 @@ def gate_block(gate: Gate, cut: Cut) -> str:
 
 def cross_gates(circuit: Circuit, cut: Cut) -> list[Gate]:
     """The two-qubit gates whose endpoints straddle the cut, in cycle order."""
-    return [g for g in circuit.gates if len(g.qubits) == 2 and gate_block(g, cut) == "cross"]
+    a = cut.in_a
+    return [
+        g for g in circuit.gates if len(g.qubits) == 2 and (g.qubits[0] in a) != (g.qubits[1] in a)
+    ]
 
 
 def choose_cut(circuit: Circuit) -> Cut:

@@ -79,9 +79,11 @@ class CostParams:
     rate_card: dict = field(default_factory=load_rate_card)
 
     def __post_init__(self):
-        if self.C1 <= 0 or self.C2 < 0 or self.C3 < 0:
+        # written so that NaN fails each test
+        if not (0 < self.C1 < math.inf and 0 <= self.C2 < math.inf and 0 <= self.C3 < math.inf):
             raise CostModelError(
-                f"constants must be positive, got C1={self.C1} C2={self.C2} C3={self.C3}"
+                f"constants must be finite, C1 > 0 and C2, C3 >= 0, "
+                f"got C1={self.C1} C2={self.C2} C3={self.C3}"
             )
         pts = sorted(self.omega.items())
         if not pts or pts[0][0] != 1 or pts[0][1] != 1.0:

@@ -206,7 +206,9 @@ def seeded_subset(space: int, m: int, seed: int) -> np.ndarray:
 
     All of them when m == space; numpy's permutation sampler above a
     quarter of the space; otherwise uniform draws, redrawing the shortfall
-    until m distinct ids are kept.
+    until m distinct ids are kept. Each draw is sorted once, in place, and
+    deduplicated; a redraw's ids that are new are inserted into the kept
+    ones, so only the first draw pays a full-size sort.
     """
     rng = np.random.default_rng(seed)
     if m == space:
@@ -215,9 +217,17 @@ def seeded_subset(space: int, m: int, seed: int) -> np.ndarray:
         return np.sort(rng.choice(space, size=m, replace=False).astype(np.int64))
     kept = np.empty(0, dtype=np.int64)
     while kept.size < m:
-        ids = np.concatenate([kept, rng.integers(0, space, size=m - kept.size)])
+        ids = rng.integers(0, space, size=m - kept.size)
         ids.sort()
-        kept = ids[np.concatenate(([True], ids[1:] != ids[:-1]))]
+        first = np.empty(ids.size, dtype=bool)
+        first[0] = True
+        np.not_equal(ids[1:], ids[:-1], out=first[1:])
+        ids = ids[first]
+        if kept.size:
+            at = np.searchsorted(kept, ids)
+            new = kept[np.minimum(at, kept.size - 1)] != ids
+            ids = np.insert(kept, at[new], ids[new])
+        kept = ids
     return kept
 
 

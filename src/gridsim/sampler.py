@@ -135,12 +135,13 @@ def _check_batch(indices, probs, per_sample: int):
 
 
 def _rejection_sample(req: SampleRequest, indices, probs, m: int, drop_tail: bool) -> SampleSet:
-    # accept with min{1, p*N/m}; with drop_tail, entries above m/N are rejected
+    # accept with min{1, p*N/m}: as u < 1, that is u < p*N/m; with
+    # drop_tail, entries above m/N are rejected
     indices, probs = _check_batch(indices, probs, m)
     n_states = req.n_states
     cap = m / n_states
     u = _philox(req.seed, 1).random(probs.size)
-    accept = u < np.minimum(1.0, probs * n_states / m)
+    accept = u < probs * n_states / m
     if drop_tail:
         accept &= probs <= cap
     tail = float(probs[probs > cap].sum() * n_states / probs.size)

@@ -386,14 +386,20 @@ def utf8_text(data: bytes, path, first_line: int = 1) -> str:
 _JSON_KINDS = {str: (str, "a string"), int: (int, "an integer"), float: ((int, float), "a number")}
 
 
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not a number")
+
+
 def read_json_fields(path, **kinds: type) -> list:
     """The named fields of a JSON object file, in order, each of its kind:
     str, int, or float for any number; a bool is neither an int nor a
-    number, and a float is not an int.  ValueError names the file."""
+    number, and a float is not an int; nor are NaN and Infinity, which
+    JSON lacks.  ValueError names the file."""
+    with open(path, "rb") as f:
+        text = utf8_text(f.read(), path)
     try:
-        with open(path, "rb") as f:
-            raw = json.loads(utf8_text(f.read(), path))
-    except json.JSONDecodeError as exc:
+        raw = json.loads(text, parse_constant=_no_constant)
+    except ValueError as exc:  # JSONDecodeError among them
         raise ValueError(f"{path}: invalid JSON: {exc}") from None
     for name, kind in kinds.items():
         if not isinstance(raw, dict) or name not in raw:

@@ -14,6 +14,7 @@ from gridsim.circuit import (
     choose_cut,
     circuit_hash,
     cross_gates,
+    gate_block,
     gate_matrix,
     parse_circuit,
     serialize_circuit,
@@ -180,6 +181,35 @@ class TestCuts:
         deep = generate(GenSpec(4, 4, 24, "v2", seed=0))
         for cs, cd in zip(all_cuts(shallow), all_cuts(deep)):
             assert len(cross_gates(deep, cd)) >= len(cross_gates(shallow, cs))
+
+
+def _naive_side(gate, block_a):
+    inside = [q in block_a for q in gate.qubits]  # tuple membership, no set
+    return "a" if all(inside) else "b" if not any(inside) else "cross"
+
+
+@pytest.mark.parametrize("rows, cols", [(r, c) for r in range(2, 8) for c in range(2, 9)])
+def test_cut_classification_matches_the_naive_rule(rows, cols):
+    n = rows * cols
+    for variant in ("v1", "v2"):
+        for kind in (GateKind.CZ, GateKind.ISWAP):
+            circ = generate(GenSpec(rows, cols, 12, variant, seed=n, two_qubit=kind))
+            naive_cross = {}
+            for cut in all_cuts(circ):
+                line = [q // cols if cut.orientation == "h" else q % cols for q in range(n)]
+                assert cut.block_a == tuple(q for q in range(n) if line[q] <= cut.position)
+                assert cut.block_b == tuple(q for q in range(n) if line[q] > cut.position)
+                assert cut.block_a and cut.block_b
+                assert sorted(cut.block_a + cut.block_b) == list(range(n))
+                assert cut.in_a == set(cut.block_a)
+                sides = [_naive_side(g, cut.block_a) for g in circ.gates]
+                assert [gate_block(g, cut) for g in circ.gates] == sides
+                want = [g for g, side in zip(circ.gates, sides) if side == "cross"]
+                assert cross_gates(circ, cut) == want
+                naive_cross[cut] = len(want)
+            best = min(naive_cross, key=lambda c: (max(c.n_a, c.n_b), naive_cross[c],
+                                                    c.position, c.orientation))
+            assert choose_cut(circ) == best
 
 
 class TestCircuitChecks:

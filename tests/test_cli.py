@@ -530,6 +530,12 @@ def _malformed_json(base: dict, number: str, integer: str | None = None) -> list
         ("string-for-number", dump({**base, number: str(base[number])}), f": {number} is not a number"),
         ("invalid-json", dump(base)[:-1], ": invalid JSON: Expecting ',' delimiter"),
         ("not-utf8", b'{"note": "\xff", ' + dump(base)[1:], ": line 1: byte 0xff is not UTF-8"),
+        *[
+            # json.dumps writes these constants, which JSON itself lacks
+            (f"{const}-for-number", dump({**base, number: value}),
+             f": invalid JSON: {const} is not a number")
+            for const, value in (("NaN", math.nan), ("Infinity", math.inf), ("-Infinity", -math.inf))
+        ],
     ]
     if integer is None:
         return forms + [("true-for-number", dump({**base, number: True}), f": {number} is not a number")]

@@ -182,6 +182,22 @@ class TestForecast:
             forecast(params, 1.0, 8, 8, 8, 0, 4, 0, 16, n_nodes=0)
 
 
+class TestConstants:
+    NAN, INF = float("nan"), float("inf")
+
+    @pytest.mark.parametrize("consts", [
+        (NAN, 1.1, 7e-9), (2e-9, NAN, 7e-9), (2e-9, 1.1, NAN),
+        (INF, 1.1, 7e-9), (2e-9, INF, 7e-9), (2e-9, 1.1, INF),
+        (0.0, 1.1, 7e-9), (2e-9, -1.1, 7e-9), (2e-9, 1.1, -7e-9),
+    ])
+    def test_non_finite_or_out_of_range_constants_are_rejected(self, consts):
+        with pytest.raises(CostModelError, match="^constants must be finite"):
+            CostParams(*consts)
+
+    def test_zero_c2_and_c3_are_accepted(self):
+        assert CostParams(2e-9, 0.0, 0.0).C3 == 0.0
+
+
 class TestOmega:
     def test_interpolates_between_anchors(self):
         params = CostParams(1e-9, 1.0, 1e-9, omega={1: 1.0, 4: 1.2, 16: 1.6})

@@ -201,16 +201,35 @@ def _set_subset(space, m, seed):
     return np.array(sorted(seen), dtype=np.int64), draws - 1
 
 
+def _redraw_collisions(space, m, seed):
+    # replays the uniform branch's draws: how many ids of the second and
+    # later draws were kept already, and how many repeat within their draw
+    rng = np.random.default_rng(seed)
+    seen, on_kept, within = set(), 0, 0
+    while len(seen) < m:
+        draw = [int(v) for v in rng.integers(0, space, size=m - len(seen))]
+        if seen:
+            on_kept += sum(v in seen for v in draw)
+            within += len(draw) - len(set(draw))
+        seen.update(draw)
+    return on_kept, within
+
+
 class TestSeededSubset:
-    # (space, fidelity, seed) covering all three branches; (4096, 0.25, 7)
-    # keeps redrawing its shortfall
-    PREFIX_CASES = [(64, 1.0, 0), (4096, 0.3, 11), (4096, 0.25, 7), (1 << 20, 0.01, 3), (8, 0.01, 2)]
+    # (space, fidelity, seed) at 1/4 of the space, the last uniform-draw
+    # fraction: each redraws its shortfall two to four times, so redrawn ids
+    # land on kept ids and on each other
+    REDRAW_CASES = [(4096, 0.25, 7), *[(1024, 0.25, s) for s in range(6)]]
+    # (space, fidelity, seed) covering all three branches
+    PREFIX_CASES = [(64, 1.0, 0), (4096, 0.3, 11), (1 << 20, 0.01, 3), (8, 0.01, 2), *REDRAW_CASES]
     # (n_qubits, k, seed)
     CHALLENGE_CASES = [(6, 64, 3), (12, 1500, 5), (12, 1024, 1), (20, 100000, 7)]
 
     def test_cases_reach_every_branch(self):
-        space, f, seed = 4096, 0.25, 7
-        assert _set_subset(space, round(f * space), seed)[1] >= 2
+        for space, f, seed in self.REDRAW_CASES:
+            assert _set_subset(space, round(f * space), seed)[1] >= 2
+        hits = [_redraw_collisions(sp, round(f * sp), s) for sp, f, s in self.REDRAW_CASES]
+        assert sum(on_kept for on_kept, _ in hits) > 0 and sum(within for _, within in hits) > 0
         kept = [(round(fr * sp), sp) for sp, fr, _ in self.PREFIX_CASES]
         assert any(m == sp for m, sp in kept)
         assert any(sp // 4 < m < sp for m, sp in kept)
@@ -235,6 +254,17 @@ class TestSeededSubset:
             tracemalloc.stop()
         assert got.size == 1342177
         assert peak < 64 * 2**20
+
+    def test_peak_stays_near_the_returned_ids(self):
+        # one full-size draw and its deduplicated copy, then the kept ids
+        # and their insertion copy: about twice the output, never three times
+        tracemalloc.start()
+        try:
+            got = retained_prefixes(1 << 28, 0.005, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.3 * got.nbytes
 
 
 class TestPlan:

@@ -153,6 +153,25 @@ class TestFrugalSampling:
             idx[req_f.batch_size :].tolist()
         )
 
+    @pytest.mark.parametrize("mode", ["basic", "frugal"])
+    def test_accept_mask_equals_the_capped_rule(self, mode):
+        # accept iff u < min{1, p*N/M}, u the lane-1 Philox stream; a tenth
+        # of the entries sit above M/N, where the cap of 1 binds
+        req = SampleRequest(12, count=300, mode=mode, epsilon=1e-3, m_star=10, seed=13)
+        m = plan_basic(12, 1e-3) if mode == "basic" else req.m_star
+        idx = np.arange(req.batch_size, dtype=np.int64)
+        gen = np.random.default_rng(2)
+        probs = gen.exponential(1.0 / 4096, size=idx.size)
+        probs[gen.random(idx.size) < 0.1] *= 4.0 * m
+        assert np.count_nonzero(probs > m / 4096) > idx.size // 20
+        u = np.random.Generator(np.random.Philox(key=[13, 1])).random(idx.size)
+        want = u < np.minimum(1.0, probs * 4096 / m)
+        if mode == "basic":
+            want &= probs <= m / 4096
+        got = sample(req, idx, probs)
+        np.testing.assert_array_equal(got.indices, idx[want])
+        assert got.accepted_count == np.count_nonzero(want)
+
     def test_dispatch_by_mode(self):
         req = SampleRequest(8, count=20, mode="frugal", seed=5)
         idx = committed_indices(req)
